@@ -3,7 +3,7 @@
 Measures RR-sets/sec, PRR-graphs/sec, critical-sets/sec and forward
 cascades/sec on a 10k-node / ~50k-edge synthetic graph, for both the
 vectorized :class:`repro.engine.SamplingEngine` batch API and the edge-wise
-pre-engine samplers kept in :mod:`repro.engine.reference`.  Results land in
+pre-engine samplers kept in ``tests/oracles/engine.py``.  Results land in
 ``BENCH_engine.json`` next to this script so later PRs can track the
 performance trajectory.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -23,13 +24,16 @@ import numpy as np
 
 from repro.core import sample_critical_batch, sample_prr_batch
 from repro.engine import SamplingEngine
-from repro.engine.reference import (
+from repro.graphs import learned_like, preferential_attachment
+
+# The loop oracles live beside the tests (tests/oracles/).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.engine import (  # noqa: E402
     reference_rr_set,
     reference_sample_critical_set,
     reference_sample_prr_graph,
     reference_simulate_spread,
 )
-from repro.graphs import learned_like, preferential_attachment
 
 BENCH_SEED = 2017
 N_NODES = 10_000

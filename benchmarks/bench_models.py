@@ -6,7 +6,7 @@ preferential-attachment graph: wall-clock of ``runs`` Monte-Carlo
 cascades through the engine path ``model=`` dispatches to — the cascade
 lane kernels of :mod:`repro.engine.lanes` for ``ic_out``/``lt``, the
 per-world vectorized batch for the default ``ic`` — against the retained
-pure-Python per-node loops of :mod:`repro.engine.reference` (the exact
+pure-Python per-node loops of ``tests/oracles/engine.py`` (the exact
 code the engine replaced, kept as seeded oracles).
 
 Arms are *interleaved* (loop, engine, loop, engine, ...) and each side
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -37,12 +38,15 @@ import numpy as np
 
 from repro.diffusion import normalize_lt_weights
 from repro.engine import SamplingEngine
-from repro.engine.reference import (
+from repro.graphs import learned_like, preferential_attachment
+
+# The loop oracles live beside the tests (tests/oracles/).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.engine import (  # noqa: E402
     reference_simulate_lt_spread,
     reference_simulate_spread,
     reference_simulate_spread_outgoing,
 )
-from repro.graphs import learned_like, preferential_attachment
 
 BENCH_SEED = 2017
 RESULT_PATH = Path(__file__).parent.parent / "BENCH_models.json"

@@ -17,13 +17,15 @@ pays at every doubling round):
 End-to-end rows run each algorithm three ways on identical workloads:
 
 * ``legacy_path`` — the full pre-engine pipeline: edge-wise reference
-  samplers (:mod:`repro.engine.reference`) + object/heap selection; this
+  samplers + object/heap selection, both from ``tests/oracles/``; this
   is the repo's "legacy" baseline, same vocabulary as
   ``benchmarks/bench_engine.py``,
-* ``legacy_selection`` — PR-1 engine sampling with the pre-arena object
-  selection (the ``selection="legacy"`` knob; identical RNG stream to the
+* ``legacy_selection`` — engine sampling with the pre-arena object
+  selection (the composed oracles ``legacy_prr_boost`` /
+  ``legacy_prr_boost_lb`` / ``legacy_imm``; identical RNG stream to the
   vectorized arm, so outputs are asserted identical),
-* ``vectorized`` — engine sampling + flat selection.
+* ``vectorized`` — engine sampling + flat selection (the shipped
+  algorithms).
 
 Results land in ``BENCH_select.json``.  Run with::
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 from typing import FrozenSet, List
@@ -47,23 +50,32 @@ import numpy as np
 from repro.core import (
     estimate_delta,
     greedy_delta_selection,
-    legacy_estimate_delta,
-    legacy_greedy_delta_selection,
     prr_boost,
     prr_boost_lb,
     sample_prr_arena,
     sample_prr_batch,
 )
 from repro.engine.coverage import CoverageIndex
-from repro.engine.reference import (
+from repro.graphs import learned_like, preferential_attachment
+from repro.im import imm
+from repro.im.rr import RRSampler
+
+# The loop oracles live beside the tests (tests/oracles/).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.engine import (  # noqa: E402
     reference_rr_set,
     reference_sample_critical_set,
     reference_sample_prr_graph,
 )
-from repro.graphs import learned_like, preferential_attachment
-from repro.im import imm, legacy_greedy_max_coverage
-from repro.im.imm import imm_sampling
-from repro.im.rr import RRSampler
+from oracles.selection import (  # noqa: E402
+    legacy_estimate_delta,
+    legacy_greedy_delta_selection,
+    legacy_greedy_max_coverage,
+    legacy_imm,
+    legacy_imm_sampling,
+    legacy_prr_boost,
+    legacy_prr_boost_lb,
+)
 
 BENCH_SEED = 2017
 RESULT_PATH = Path(__file__).parent.parent / "BENCH_select.json"
@@ -285,9 +297,9 @@ def legacy_path_prr_boost(graph, seeds, k, rng, max_samples):
     candidates = {v for v in range(graph.n) if v not in seed_set}
     ell_prime = 1.0 * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = _ReferencePRRSampler(graph, seed_set, k)
-    critical_sets = imm_sampling(
+    critical_sets = legacy_imm_sampling(
         sampler, k, 0.5, ell_prime, rng, candidates=candidates,
-        max_samples=max_samples, legacy_selection=True,
+        max_samples=max_samples,
     )
     mu_set, mu_covered = legacy_greedy_max_coverage(critical_sets, k, candidates)
     delta_set, delta_estimate = legacy_greedy_delta_selection(
@@ -302,9 +314,9 @@ def legacy_path_prr_boost_lb(graph, seeds, k, rng, max_samples):
     candidates = {v for v in range(graph.n) if v not in seed_set}
     ell_prime = 1.0 * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = _ReferenceCriticalSampler(graph, seed_set)
-    critical_sets = imm_sampling(
+    critical_sets = legacy_imm_sampling(
         sampler, k, 0.5, ell_prime, rng, candidates=candidates,
-        max_samples=max_samples, legacy_selection=True,
+        max_samples=max_samples,
     )
     mu_set, _ = legacy_greedy_max_coverage(critical_sets, k, candidates)
     return sorted(mu_set)
@@ -312,9 +324,8 @@ def legacy_path_prr_boost_lb(graph, seeds, k, rng, max_samples):
 
 def legacy_path_imm(graph, k, rng, max_samples):
     sampler = _ReferenceRRSampler(graph)
-    samples = imm_sampling(
-        sampler, k, 0.5, 1.0, rng, max_samples=max_samples,
-        legacy_selection=True,
+    samples = legacy_imm_sampling(
+        sampler, k, 0.5, 1.0, rng, max_samples=max_samples
     )
     chosen, _ = legacy_greedy_max_coverage(samples, k)
     return chosen
@@ -343,13 +354,11 @@ def bench_end_to_end(graph, seeds, cfg, results):
             "legacy_path": lambda: legacy_path_prr_boost(
                 graph, seeds, k, np.random.default_rng(2), cap
             ),
-            "legacy_selection": lambda: prr_boost(
-                graph, seeds, k, np.random.default_rng(2),
-                max_samples=cap, selection="legacy",
+            "legacy_selection": lambda: legacy_prr_boost(
+                graph, seeds, k, np.random.default_rng(2), max_samples=cap,
             ),
             "vectorized": lambda: prr_boost(
-                graph, seeds, k, np.random.default_rng(2),
-                max_samples=cap, selection="vectorized",
+                graph, seeds, k, np.random.default_rng(2), max_samples=cap,
             ),
         },
         key=lambda r: r.boost_set if hasattr(r, "boost_set") else r,
@@ -360,13 +369,11 @@ def bench_end_to_end(graph, seeds, cfg, results):
             "legacy_path": lambda: legacy_path_prr_boost_lb(
                 graph, seeds, k, np.random.default_rng(3), cap
             ),
-            "legacy_selection": lambda: prr_boost_lb(
-                graph, seeds, k, np.random.default_rng(3),
-                max_samples=cap, selection="legacy",
+            "legacy_selection": lambda: legacy_prr_boost_lb(
+                graph, seeds, k, np.random.default_rng(3), max_samples=cap,
             ),
             "vectorized": lambda: prr_boost_lb(
-                graph, seeds, k, np.random.default_rng(3),
-                max_samples=cap, selection="vectorized",
+                graph, seeds, k, np.random.default_rng(3), max_samples=cap,
             ),
         },
         key=lambda r: r.boost_set if hasattr(r, "boost_set") else r,
@@ -377,9 +384,8 @@ def bench_end_to_end(graph, seeds, cfg, results):
             "legacy_path": lambda: legacy_path_imm(
                 graph, k, np.random.default_rng(4), cap
             ),
-            "legacy_selection": lambda: imm(
+            "legacy_selection": lambda: legacy_imm(
                 graph, k, np.random.default_rng(4), max_samples=cap,
-                legacy_selection=True,
             ),
             "vectorized": lambda: imm(
                 graph, k, np.random.default_rng(4), max_samples=cap

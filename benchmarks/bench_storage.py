@@ -13,7 +13,11 @@ per-backend peak-RSS measurement (the number the out-of-core design
 exists to shrink), and the parent asserts the two arms' full result
 envelopes — selections, sample counts, estimates, fingerprints — are
 bit-identical: the storage tier may move bytes, never answers.  Both
-arms run serial (workers=1) so the comparison is deterministic.
+arms run serial (workers=1) so the comparison is deterministic.  The
+boost query seeds every ``boost_seed_stride``-th node (2% of the graph)
+so its answer is a non-empty set with a positive estimate — each arm
+hard-asserts ``boost_estimate > 0``, so the identity check never compares
+two empty answers.
 
 Results land in ``BENCH_storage.json``.  Run with::
 
@@ -50,7 +54,7 @@ FULL = {
     "chunk_edges": 1 << 20,
     "max_samples": 2000,
     "k": 8,
-    "boost_seeds": 4,
+    "boost_seed_stride": 50,
     "min_rss_ratio": 2.0,
 }
 SMOKE = {
@@ -59,7 +63,7 @@ SMOKE = {
     "chunk_edges": 1 << 17,
     "max_samples": 400,
     "k": 4,
-    "boost_seeds": 2,
+    "boost_seed_stride": 50,
 }
 
 
@@ -115,7 +119,7 @@ def arm_query(args) -> dict:
     )
     boost = session.run(
         BoostQuery(
-            seeds=tuple(range(args.boost_seeds)),
+            seeds=tuple(range(0, graph.n, args.boost_seed_stride)),
             k=args.k,
             budget=budget,
             rng_seed=5,
@@ -214,13 +218,18 @@ def measure(cfg: dict, workdir: Path) -> dict:
         arms[mode] = _run_arm([
             "--_arm", "query", "--store", store, "--mode", mode,
             "--max-samples", cfg["max_samples"], "--k", cfg["k"],
-            "--boost-seeds", cfg["boost_seeds"],
+            "--boost-seed-stride", cfg["boost_seed_stride"],
         ])
         row = arms[mode]
         print(
             f"{mode:>6}: open {row['open_s']:.3f}s | query "
             f"{row['query_s']:.2f}s | peak RSS "
-            f"{row['peak_rss_bytes'] / 1e6:.0f} MB"
+            f"{row['peak_rss_bytes'] / 1e6:.0f} MB | boost "
+            f"{row['envelope']['boost_estimate']:.1f}"
+        )
+        # An empty boost answer would make the identity check vacuous.
+        assert row["envelope"]["boost_estimate"] > 0, (
+            f"{mode}: prr_boost returned no boost: {row['envelope']}"
         )
 
     # The storage tier must never change answers: full envelope identity.
@@ -326,7 +335,7 @@ def main() -> int:
     parser.add_argument("--chunk-edges", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--max-samples", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--k", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--boost-seeds", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--boost-seed-stride", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args._arm == "ingest":
         print(json.dumps(arm_ingest(args)))

@@ -4,8 +4,8 @@ One row per tree size of the Figure-15 sweep (complete binary bidirected
 trees, trivalency probabilities, IMM seeds) at the paper's finest
 accuracy setting ε = 0.2: wall-clock of :func:`repro.trees.dp_boost`'s
 level-batched numpy kernels against ``legacy_dp_boost`` — the exact loop
-implementation the kernels replaced, kept verbatim in
-:mod:`repro.trees.reference` as a seeded oracle.
+implementation the kernels replaced, kept verbatim beside the tests in
+``tests/oracles/trees.py`` as a seeded oracle.
 
 Arms are *interleaved* (legacy, vectorized, legacy, ...) and each side
 keeps its best of ``repeats`` rounds, so scheduler noise hits both arms
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -39,7 +40,10 @@ import numpy as np
 
 from repro.experiments.trees_exp import make_tree_workload
 from repro.trees.dp import dp_boost
-from repro.trees.reference import legacy_dp_boost
+
+# The loop oracles live beside the tests (tests/oracles/).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.trees import legacy_dp_boost  # noqa: E402
 
 BENCH_SEED = 2017
 RESULT_PATH = Path(__file__).parent.parent / "BENCH_trees.json"

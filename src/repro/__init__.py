@@ -35,7 +35,7 @@ engine, worker pool and selection scratch stay warm across them::
 
 Every query answer is a JSON-serializable
 :class:`~repro.api.QueryResult`; ``session.run_many([...])`` answers a
-batch on one shared worker pool.  The legacy free functions
+batch on one shared worker pool.  The free functions
 (:func:`prr_boost`, :func:`imm`, :func:`ssa`, ...) remain available as
 thin wrappers over a default throwaway session and return their
 historical result objects unchanged.

@@ -25,7 +25,7 @@ overlapped :meth:`Session.run_many` pipelining independent seeded
 queries over the shared-memory runtime, and the :func:`serve_ndjson` /
 :func:`serve_http` front ends behind ``repro serve``.
 
-The legacy free functions (``prr_boost``, ``prr_boost_lb``, ``imm``,
+The free functions (``prr_boost``, ``prr_boost_lb``, ``imm``,
 ``ssa``, ...) remain available as thin wrappers over a default throwaway
 session, returning their historical result objects bit-for-bit.
 """

@@ -24,9 +24,7 @@ key                implementation                              query
 =================  ==========================================  ==========
 
 The tree handlers are exact/deterministic (no sampling): the resolved
-budget's ``epsilon`` doubles as DP-Boost's FPTAS accuracy parameter, and
-``params={"method": "legacy"}`` routes ``tree_dp`` through the pinned
-loop oracle instead of the vectorized kernels.
+budget's ``epsilon`` doubles as DP-Boost's FPTAS accuracy parameter.
 
 Baseline handlers generate their candidate boost sets and, by default,
 Monte-Carlo rank them (shared sampled worlds when there is more than one
@@ -106,12 +104,10 @@ def _boost_envelope(query, res) -> QueryResult:
 def _run_prr_boost(session, query, rng) -> QueryResult:
     _require_ic(query)
     budget = session.resolve_budget(query)
-    params = query.param_dict
     res = prr_boost_core(
         session.graph, set(query.seeds), query.k, rng,
         epsilon=budget.epsilon, ell=budget.ell,
         max_samples=budget.max_samples,
-        selection=params.get("selection", "vectorized"),
         workers=budget.workers,
         index=session.scratch_index(), arena=session.scratch_arena(),
         candidates=session.candidates_for(query.seeds),
@@ -123,12 +119,10 @@ def _run_prr_boost(session, query, rng) -> QueryResult:
 def _run_prr_boost_lb(session, query, rng) -> QueryResult:
     _require_ic(query)
     budget = session.resolve_budget(query)
-    params = query.param_dict
     res = prr_boost_lb_core(
         session.graph, set(query.seeds), query.k, rng,
         epsilon=budget.epsilon, ell=budget.ell,
         max_samples=budget.max_samples,
-        selection=params.get("selection", "vectorized"),
         workers=budget.workers,
         index=session.scratch_index(),
         candidates=session.candidates_for(query.seeds),
@@ -253,7 +247,6 @@ def _run_imm(session, query, rng) -> QueryResult:
         session.graph, query.k, rng,
         epsilon=budget.epsilon, ell=budget.ell,
         max_samples=budget.max_samples,
-        legacy_selection=query.param_dict.get("legacy_selection", False),
         workers=budget.workers,
     )
     return QueryResult(
@@ -317,10 +310,9 @@ def _run_tree_dp(session, query, rng) -> QueryResult:
     _require_ic(query)
     budget = session.resolve_budget(query)
     tree = session.tree_for(query.seeds, getattr(query, "root", 0))
-    method = query.param_dict.get("method", "vectorized")
     from ..trees import dp_boost
 
-    res = dp_boost(tree, query.k, epsilon=budget.epsilon, method=method)
+    res = dp_boost(tree, query.k, epsilon=budget.epsilon)
     return QueryResult(
         algorithm=query.algorithm,
         selected=list(res.boost_set),
@@ -332,7 +324,6 @@ def _run_tree_dp(session, query, rng) -> QueryResult:
         extra={
             "table_entries": int(res.table_entries),
             "epsilon": float(budget.epsilon),
-            "method": method,
         },
         raw=res,
     )

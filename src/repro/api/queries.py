@@ -25,7 +25,7 @@ budget-stripped form the serving tier fingerprints.
 
 ``rng_seed`` pins the query's RNG stream for reproducibility; leaving it
 ``None`` means the caller supplies a live generator to
-:meth:`repro.api.Session.run` (the legacy free functions do exactly
+:meth:`repro.api.Session.run` (the free-function wrappers do exactly
 that).
 """
 
@@ -267,8 +267,7 @@ class TreeQuery(_BaseQuery):
     roots it at ``root`` with the query's seed set via
     :meth:`repro.api.Session.tree_for`.  ``algorithm`` is ``"tree_dp"``
     (the DP-Boost FPTAS; the resolved budget's ``epsilon`` is its
-    accuracy parameter, and ``params={"method": "legacy"}`` selects the
-    pinned loop oracle) or ``"tree_greedy"`` (exact Greedy-Boost).  Both
+    accuracy parameter) or ``"tree_greedy"`` (exact Greedy-Boost).  Both
     are deterministic — no sampling — so results cache on any
     ``rng_seed``.
     """

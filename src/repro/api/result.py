@@ -5,9 +5,10 @@ bare-list zoo at the API boundary: selected nodes, named objective
 estimates, sample counts, timings and a reproducibility fingerprint, all
 JSON-serializable (:meth:`QueryResult.to_dict` / :meth:`to_json`).
 
-The legacy result object stays reachable as :attr:`QueryResult.raw` for
-callers that need algorithm internals (the thin free-function wrappers
-return exactly that), but it is never serialized.
+The algorithm's own result object stays reachable as
+:attr:`QueryResult.raw` for callers that need algorithm internals (the
+thin free-function wrappers return exactly that), but it is never
+serialized.
 
 Error taxonomy
 --------------
@@ -96,7 +97,7 @@ class QueryResult:
         Algorithm-specific JSON-serializable extras (collection stats,
         candidate sets, SSA rounds, ...).
     raw:
-        The legacy result object (``BoostResult``/``IMMResult``/...),
+        The algorithm's own result object (``BoostResult``/``IMMResult``/...),
         excluded from serialization.
     """
 

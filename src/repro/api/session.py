@@ -168,7 +168,7 @@ class Session:
     manage_runtime:
         When True (default), :meth:`close` tears down the shared-memory
         parallel runtime if it is bound to this session's graph.  The
-        legacy free-function wrappers pass False so a throwaway
+        free-function wrappers pass False so a throwaway
         per-call session never kills the warm pool between calls.
     cache:
         Optional :class:`ResultCache`.  Seeded queries whose fingerprint,
@@ -659,7 +659,7 @@ class Session:
 
         RNG resolution: an explicit ``query.rng_seed`` always wins (the
         reproducible, serializable form); otherwise the ambient ``rng``
-        is consumed — the legacy free functions pass their caller's live
+        is consumed — the free-function wrappers pass their caller's live
         generator through, which is what keeps wrapper results
         bit-for-bit identical to the pre-session API; with neither, the
         query runs on fresh OS entropy.

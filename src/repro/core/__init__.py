@@ -4,8 +4,6 @@ from .boost import BoostResult, CriticalSetSampler, PRRSampler, prr_boost, prr_b
 from .mc_greedy import mc_greedy_boost
 from .parallel import (
     RuntimeHealth,
-    legacy_parallel_critical_sets,
-    legacy_parallel_prr_collection,
     parallel_critical_sets,
     parallel_prr_collection,
     parallel_rr_csr,
@@ -19,9 +17,6 @@ from .estimator import (
     estimate_delta,
     estimate_mu,
     greedy_delta_selection,
-    legacy_estimate_delta,
-    legacy_estimate_mu,
-    legacy_greedy_delta_selection,
 )
 from .params import SandwichParams, derive_params
 from .prr import (
@@ -54,9 +49,6 @@ __all__ = [
     "estimate_delta",
     "estimate_mu",
     "greedy_delta_selection",
-    "legacy_estimate_delta",
-    "legacy_estimate_mu",
-    "legacy_greedy_delta_selection",
     "CollectionStats",
     "collection_stats",
     "prr_boost",
@@ -71,8 +63,6 @@ __all__ = [
     "parallel_prr_collection",
     "parallel_critical_sets",
     "parallel_rr_csr",
-    "legacy_parallel_prr_collection",
-    "legacy_parallel_critical_sets",
     "shutdown_runtime",
     "RuntimeHealth",
     "runtime_health",

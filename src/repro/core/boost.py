@@ -20,10 +20,10 @@ lists), critical sets stream into the IMM phase's
 vectorized kernels of :mod:`repro.core.estimator`.  ``μ̂`` and ``Δ̂`` of
 both arms come from :func:`estimate_mu`/:func:`estimate_delta` over the
 same collection — one source of truth for the sandwich comparison.
-``selection="legacy"`` reruns the pre-arena object path (Python sample
-lists, dict/heap greedy, per-graph loops) with identical RNG consumption
-— the seeded-equivalence oracle and the benchmark baseline of
-``benchmarks/bench_select.py``.
+The pre-arena object path (Python sample lists, dict/heap greedy,
+per-graph loops) survives only as the seeded-equivalence oracle beside
+the tests (``tests/oracles/selection.py``), driving these same samplers
+through ``sample_batch`` so its RNG consumption is identical.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from ..engine import SamplingEngine
 from ..engine.coverage import CoverageIndex, csr_to_frozensets
 from ..graphs.digraph import DiGraph
-from ..im.greedy import legacy_greedy_max_coverage
 from ..im.imm import imm_sampling
 from .estimator import (
     CollectionStats,
@@ -45,11 +44,9 @@ from .estimator import (
     estimate_delta,
     estimate_mu,
     greedy_delta_selection,
-    legacy_estimate_delta,
-    legacy_greedy_delta_selection,
 )
 from .parallel import PARALLEL_MIN_SAMPLES, resolve_sampler_workers
-from .prr import PRRArena, PRRGraph, sample_prr_lanes
+from .prr import PRRArena, sample_prr_lanes
 
 __all__ = [
     "BoostResult",
@@ -76,8 +73,8 @@ class PRRSampler:
     ``workers > 1`` large extensions dispatch chunk jobs to the
     shared-memory runtime (:mod:`repro.core.parallel`) and merge the
     returned arena payloads.  All sampling forms consume the RNG
-    identically for a given request size, so the legacy and vectorized
-    selection arms stay sample-for-sample in sync either way.
+    identically for a given request size, so ``sample_batch`` (the
+    oracle's form) and ``sample_into`` stay sample-for-sample in sync.
     """
 
     def __init__(
@@ -253,7 +250,6 @@ def prr_boost_core(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
     arena: Optional[PRRArena] = None,
@@ -261,7 +257,7 @@ def prr_boost_core(
 ) -> BoostResult:
     """Run PRR-Boost (Algorithm 2) and return the sandwich solution.
 
-    This is the algorithm body; :func:`prr_boost` is the legacy-shaped
+    This is the algorithm body; :func:`prr_boost` is the free-function
     entry point (a thin wrapper over a throwaway
     :class:`repro.api.Session`), and the session API dispatches here
     directly with its warm scratch state.
@@ -280,10 +276,6 @@ def prr_boost_core(
     max_samples:
         Safety cap on the number of PRR-graphs (keeps worst-case
         parameterizations laptop-friendly).
-    selection:
-        ``"vectorized"`` (default) runs the arena/index kernels;
-        ``"legacy"`` reruns the pre-arena object path with identical RNG
-        consumption and identical outputs (oracle/benchmark only).
     workers:
         With ``workers > 1`` (and fork available) the sampling phases
         dispatch to the persistent shared-memory runtime of
@@ -303,40 +295,21 @@ def prr_boost_core(
     ell_prime = ell * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = PRRSampler(graph, seed_set, k, workers=workers, arena=arena)
 
-    if selection == "legacy":
-        critical_sets = imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, legacy_selection=True,
-        )
-        prr_graphs: Sequence[PRRGraph] = list(sampler.arena)
-        mu_set, mu_covered = legacy_greedy_max_coverage(
-            critical_sets, k, candidates
-        )
-        mu_estimate = graph.n * mu_covered / len(critical_sets)
-        delta_set, delta_estimate = legacy_greedy_delta_selection(
-            prr_graphs, graph.n, k, candidates
-        )
-        mu_delta = legacy_estimate_delta(prr_graphs, graph.n, set(mu_set))
-        num_samples = len(prr_graphs)
-        stats = collection_stats(prr_graphs)
-    else:
-        if index is None:
-            index = CoverageIndex(graph.n)
-        imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, index=index,
-        )
-        arena = sampler.arena
-        mu_set, _mu_covered = index.greedy(k, candidates)
-        # One source of truth for both arms: μ̂ and Δ̂ of either candidate
-        # set come from the vectorized estimators over the same arena.
-        mu_estimate = estimate_mu(arena, graph.n, set(mu_set))
-        delta_set, delta_estimate = greedy_delta_selection(
-            arena, graph.n, k, candidates
-        )
-        mu_delta = estimate_delta(arena, graph.n, set(mu_set))
-        num_samples = len(arena)
-        stats = collection_stats(arena)
+    if index is None:
+        index = CoverageIndex(graph.n)
+    imm_sampling(
+        sampler, k, epsilon, ell_prime, rng, candidates=candidates,
+        max_samples=max_samples, index=index,
+    )
+    arena = sampler.arena
+    mu_set, _mu_covered = index.greedy(k, candidates)
+    # One source of truth for both arms: μ̂ and Δ̂ of either candidate
+    # set come from the vectorized estimators over the same arena.
+    mu_estimate = estimate_mu(arena, graph.n, set(mu_set))
+    delta_set, delta_estimate = greedy_delta_selection(
+        arena, graph.n, k, candidates
+    )
+    mu_delta = estimate_delta(arena, graph.n, set(mu_set))
 
     if mu_delta >= delta_estimate:
         chosen, value = mu_set, mu_delta
@@ -350,8 +323,8 @@ def prr_boost_core(
         mu_estimate=mu_estimate,
         delta_set=sorted(delta_set),
         delta_estimate=delta_estimate,
-        num_samples=num_samples,
-        stats=stats,
+        num_samples=len(arena),
+        stats=collection_stats(arena),
         elapsed_seconds=time.perf_counter() - start,
     )
 
@@ -364,7 +337,6 @@ def prr_boost_lb_core(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
     candidates: Optional[Set[int]] = None,
@@ -376,31 +348,21 @@ def prr_boost_lb_core(
     node set.  ``workers > 1`` dispatches sampling to the shared-memory
     runtime like :func:`prr_boost`; ``index``/``candidates`` are the
     optional warm-session scratch (see :func:`prr_boost_core`).
-    :func:`prr_boost_lb` is the legacy-shaped wrapper.
+    :func:`prr_boost_lb` is the free-function wrapper.
     """
     start = time.perf_counter()
     seed_set, candidates, k = _validate(graph, seeds, k, candidates)
 
     ell_prime = ell * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = CriticalSetSampler(graph, seed_set, workers=workers)
-    if selection == "legacy":
-        critical_sets = imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, legacy_selection=True,
-        )
-        mu_set, mu_covered = legacy_greedy_max_coverage(
-            critical_sets, k, candidates
-        )
-        num_samples = len(critical_sets)
-    else:
-        if index is None:
-            index = CoverageIndex(graph.n)
-        imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, index=index,
-        )
-        mu_set, mu_covered = index.greedy(k, candidates)
-        num_samples = index.num_sets
+    if index is None:
+        index = CoverageIndex(graph.n)
+    imm_sampling(
+        sampler, k, epsilon, ell_prime, rng, candidates=candidates,
+        max_samples=max_samples, index=index,
+    )
+    mu_set, mu_covered = index.greedy(k, candidates)
+    num_samples = index.num_sets
     mu_estimate = graph.n * mu_covered / num_samples
 
     return BoostResult(
@@ -422,13 +384,12 @@ def _run_boost_query(
     epsilon: float,
     ell: float,
     max_samples: int,
-    selection: str,
     workers: int | None,
 ) -> BoostResult:
-    """Route a legacy free-function call through a throwaway session.
+    """Route a free-function call through a throwaway session.
 
-    The session API is the single dispatch surface now; the legacy entry
-    points below build the equivalent typed query and run it on a
+    The session API is the single dispatch surface; the free-function
+    entry points below build the equivalent typed query and run it on a
     default (throwaway, shared-runtime) :class:`repro.api.Session`, so
     both paths are one code path and stay bit-for-bit identical.
     """
@@ -441,7 +402,6 @@ def _run_boost_query(
         budget=SamplingBudget(
             max_samples=max_samples, epsilon=epsilon, ell=ell, workers=workers
         ),
-        params={"selection": selection},
     )
     with Session(graph, manage_runtime=False) as session:
         return session.run(query, rng=rng).raw
@@ -455,7 +415,6 @@ def prr_boost(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
 ) -> BoostResult:
     """Run PRR-Boost (Algorithm 2) and return the sandwich solution.
@@ -467,7 +426,7 @@ def prr_boost(
     """
     return _run_boost_query(
         "prr_boost", graph, seeds, k, rng,
-        epsilon, ell, max_samples, selection, workers,
+        epsilon, ell, max_samples, workers,
     )
 
 
@@ -479,7 +438,6 @@ def prr_boost_lb(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
 ) -> BoostResult:
     """Run PRR-Boost-LB (lower bound only).
@@ -489,5 +447,5 @@ def prr_boost_lb(
     """
     return _run_boost_query(
         "prr_boost_lb", graph, seeds, k, rng,
-        epsilon, ell, max_samples, selection, workers,
+        epsilon, ell, max_samples, workers,
     )

@@ -9,20 +9,16 @@ and the greedy node-selection over ``Δ̂`` used by Line 4 of Algorithm 2.
 Non-boostable PRR-graphs contribute 0 to both sums but *do* count in ``|R|``
 — the estimators divide by the total number of sampled roots.
 
-Two implementations coexist:
-
-* the **arena kernels** — collections held in a :class:`~repro.core.prr.PRRArena`
-  are evaluated batch-vectorized: one fixed-point reachability pass over the
-  concatenated edge arrays of *all* graphs per greedy round (graphs cannot
-  interfere because their arena node ranges are disjoint), with activation
-  counts tallied by ``(graph, node)``-keyed bincounts.  Sequences of
-  :class:`PRRGraph` objects are converted to an arena once up front.
-* the **legacy per-graph loops** (``legacy_estimate_delta`` / ``legacy_estimate_mu``
-  / ``legacy_greedy_delta_selection``) — kept verbatim as seeded-equivalence
-  oracles and benchmark baselines, the same pattern as
-  :mod:`repro.engine.reference`.  ``tests/test_selection.py`` pins the arena
-  kernels to their exact outputs (identical chosen sets, tie-breaks and
-  estimates).
+Collections held in a :class:`~repro.core.prr.PRRArena` are evaluated
+batch-vectorized: one fixed-point reachability pass over the concatenated
+edge arrays of *all* graphs per greedy round (graphs cannot interfere
+because their arena node ranges are disjoint), with activation counts
+tallied by ``(graph, node)``-keyed bincounts.  Sequences of
+:class:`PRRGraph` objects are converted to an arena once up front, so
+every estimator has one code path.  The per-graph loops these kernels
+replaced are kept beside the tests (``tests/oracles/selection.py``);
+``tests/test_selection.py`` pins the kernels to their exact outputs
+(identical chosen sets, tie-breaks and estimates).
 """
 
 from __future__ import annotations
@@ -38,9 +34,6 @@ __all__ = [
     "estimate_delta",
     "estimate_mu",
     "greedy_delta_selection",
-    "legacy_estimate_delta",
-    "legacy_estimate_mu",
-    "legacy_greedy_delta_selection",
     "CollectionStats",
     "collection_stats",
 ]
@@ -77,53 +70,31 @@ def estimate_delta(
 ) -> float:
     """``Δ̂_R(B)`` — unbiased estimate of the boost of influence ``Δ_S(B)``.
 
-    :class:`PRRArena` collections are evaluated with one vectorized
-    reachability pass over all graphs; object sequences fall back to the
-    per-graph loop (converting for a single evaluation would cost more).
+    One vectorized reachability pass over all graphs of the arena.
+    Callers evaluating many sets over one object sequence should convert
+    it once (``PRRArena.from_graphs``) rather than per call.
     """
-    if not isinstance(prr_graphs, PRRArena):
-        return legacy_estimate_delta(prr_graphs, n, boost)
-    if len(prr_graphs) == 0:
+    arena = _as_arena(prr_graphs, n)
+    if len(arena) == 0:
         return 0.0
-    flat = prr_graphs.flat()
-    reached = _forward_reached(prr_graphs, _boost_mask(n, boost))
+    flat = arena.flat()
+    reached = _forward_reached(arena, _boost_mask(n, boost))
     roots = flat["root_arena"][flat["boostable"]]
     covered = int(np.count_nonzero(reached[roots]))
-    return n * covered / len(prr_graphs)
+    return n * covered / len(arena)
 
 
 def estimate_mu(
     prr_graphs: Collection, n: int, boost: AbstractSet[int]
 ) -> float:
     """``μ̂_R(B)`` — estimate of the submodular lower bound ``μ(B)``."""
-    if not isinstance(prr_graphs, PRRArena):
-        return legacy_estimate_mu(prr_graphs, n, boost)
-    if len(prr_graphs) == 0:
+    arena = _as_arena(prr_graphs, n)
+    if len(arena) == 0:
         return 0.0
     boosted = _boost_mask(n, boost)
-    hit = boosted[prr_graphs.crit_nodes]
-    covered = int(np.unique(prr_graphs.flat()["crit_gid"][hit]).size)
-    return n * covered / len(prr_graphs)
-
-
-def legacy_estimate_delta(
-    prr_graphs: Sequence[PRRGraph], n: int, boost: AbstractSet[int]
-) -> float:
-    """Per-graph ``Δ̂`` loop — the pre-arena oracle."""
-    if not prr_graphs:
-        return 0.0
-    covered = sum(1 for g in prr_graphs if g.f(boost))
-    return n * covered / len(prr_graphs)
-
-
-def legacy_estimate_mu(
-    prr_graphs: Sequence[PRRGraph], n: int, boost: AbstractSet[int]
-) -> float:
-    """Per-graph ``μ̂`` loop — the pre-arena oracle."""
-    if not prr_graphs:
-        return 0.0
-    covered = sum(1 for g in prr_graphs if g.f_lower(boost))
-    return n * covered / len(prr_graphs)
+    hit = boosted[arena.crit_nodes]
+    covered = int(np.unique(arena.flat()["crit_gid"][hit]).size)
+    return n * covered / len(arena)
 
 
 def _distinct_graph_counts(
@@ -131,7 +102,7 @@ def _distinct_graph_counts(
 ) -> np.ndarray:
     """``counts[v]`` = number of distinct graphs with a masked edge headed
     at global node ``v`` (several parallel crossings in one graph count
-    once, matching the per-graph set semantics of the legacy loop)."""
+    once, matching the per-graph set semantics of ``f_R``)."""
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return np.zeros(n, dtype=np.int64)
@@ -157,11 +128,11 @@ def greedy_delta_selection(
     activating for its graph.  When no single node activates any root
     (supermodular stall) the same machinery counts *frontier* edges
     (forward region → anywhere unreached) instead, so multi-step chains
-    stay completable — identical to the legacy per-graph logic.
+    stay completable.  Ties go to the smallest node id.
 
-    Returns the chosen boost set and its ``Δ̂`` estimate; output is pinned
-    to :func:`legacy_greedy_delta_selection` (same picks, same
-    smallest-id tie-breaks, same estimate).
+    Returns the chosen boost set and its ``Δ̂`` estimate; the output is
+    pinned to the per-graph loop oracle in ``tests/oracles/selection.py``
+    (same picks, same tie-breaks, same estimate).
     """
     arena = _as_arena(prr_graphs, n)
     total = len(arena)
@@ -221,69 +192,6 @@ def greedy_delta_selection(
     return sorted(chosen), n * activated / total
 
 
-FrozenOptions = frozenset
-
-
-def legacy_greedy_delta_selection(
-    prr_graphs: Sequence[PRRGraph],
-    n: int,
-    k: int,
-    candidates: Set[int] | None = None,
-) -> Tuple[List[int], float]:
-    """Per-graph greedy ``Δ̂`` selection — the pre-arena oracle.
-
-    Each round recomputes, for every still-inactive boostable PRR-graph, the
-    set ``A_R(B)`` of single nodes whose addition would activate the root
-    (two linear traversals per graph), tallies the counts into a dense
-    array, and takes the argmax.
-    """
-    if k <= 0 or not prr_graphs:
-        return [], 0.0
-    boost: set[int] = set()
-    active = [False] * len(prr_graphs)
-    activated_count = 0
-    allowed = np.ones(n, dtype=bool)
-    if candidates is not None:
-        allowed[:] = False
-        allowed[list(candidates)] = True
-    # Cache each graph's current activation options.
-    options: List[FrozenOptions] = [None] * len(prr_graphs)  # type: ignore[assignment]
-
-    for _round in range(k):
-        counts = np.zeros(n, dtype=np.int64)
-        for idx, g in enumerate(prr_graphs):
-            if active[idx] or not g.is_boostable:
-                continue
-            acts = g.activating_nodes(boost)
-            options[idx] = acts
-            if acts:
-                counts[list(acts)] += 1
-        counts[~allowed] = 0
-        if not counts.any():
-            # Supermodular stall: see greedy_delta_selection.
-            for idx, g in enumerate(prr_graphs):
-                if active[idx] or not g.is_boostable:
-                    continue
-                frontier = g.frontier_nodes(boost)
-                if frontier:
-                    counts[list(frontier)] += 1
-            counts[~allowed] = 0
-            options = [None] * len(prr_graphs)  # type: ignore[assignment]
-        if not counts.any():
-            break
-        # argmax breaks ties toward the smallest node id.
-        best = int(np.argmax(counts))
-        boost.add(best)
-        for idx, g in enumerate(prr_graphs):
-            if active[idx] or not g.is_boostable:
-                continue
-            if options[idx] is not None and best in options[idx]:
-                active[idx] = True
-                activated_count += 1
-    estimate = n * activated_count / len(prr_graphs)
-    return sorted(boost), estimate
-
-
 class CollectionStats:
     """Aggregate statistics of a PRR-graph collection (Tables 2 and 3)."""
 
@@ -307,19 +215,6 @@ class CollectionStats:
         self.compressed_edges = 0
         self.critical_nodes = 0
         self.stored_bytes = 0
-
-    def add(self, graph: PRRGraph) -> None:
-        self.total += 1
-        if graph.status == "activated":
-            self.activated += 1
-        elif graph.status == "hopeless":
-            self.hopeless += 1
-        else:
-            self.boostable += 1
-            self.uncompressed_edges += graph.uncompressed_edges
-            self.compressed_edges += graph.num_edges
-            self.critical_nodes += len(graph.critical)
-            self.stored_bytes += graph.estimated_bytes
 
     @property
     def avg_uncompressed_edges(self) -> float:
@@ -376,12 +271,12 @@ def _arena_stats(arena: PRRArena) -> CollectionStats:
 def collection_stats(prr_graphs: Union[PRRArena, Iterable[PRRGraph]]) -> CollectionStats:
     """Compute :class:`CollectionStats` over ``prr_graphs``.
 
-    Arena input is reduced with vectorized sums; iterables of
-    :class:`PRRGraph` objects keep the per-graph accumulation.
+    Reduced with vectorized sums over the arena arrays; iterables of
+    :class:`PRRGraph` objects are converted to an arena first.
     """
-    if isinstance(prr_graphs, PRRArena):
-        return _arena_stats(prr_graphs)
-    stats = CollectionStats()
-    for g in prr_graphs:
-        stats.add(g)
-    return stats
+    if not isinstance(prr_graphs, PRRArena):
+        graphs = list(prr_graphs)
+        # The stats never read node ids; any universe covering them will do.
+        n = 1 + max((max([g.root, *g.node_globals]) for g in graphs), default=0)
+        prr_graphs = PRRArena.from_graphs(n, graphs)
+    return _arena_stats(prr_graphs)

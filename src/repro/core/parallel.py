@@ -51,11 +51,6 @@ dispatches bypass the pool entirely — same results, no recovery storm.
 an ``atexit``/SIGTERM reaper (:func:`reap_shm_segments`) unlinks
 orphaned ``repro-*`` segments even on abnormal exit.  Every recovery
 path is deterministically drivable via :mod:`repro.testing.faults`.
-
-The pre-runtime implementation (fork pool per call, pickled graph
-initargs, pickled payload results, single-sample chunk loops) is kept as
-``legacy_parallel_prr_collection`` / ``legacy_parallel_critical_sets`` —
-the baseline ``benchmarks/bench_lanes.py`` measures the runtime against.
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ from ..engine import SamplingEngine
 from ..engine.coverage import csr_to_frozensets
 from ..graphs.digraph import CSRView, DiGraph
 from ..testing import faults
-from .prr import PRRArena, sample_prr_arena, sample_prr_lanes
+from .prr import PRRArena, sample_prr_lanes
 
 __all__ = [
     "parallel_prr_collection",
@@ -101,8 +96,6 @@ __all__ = [
     "fork_available",
     "resolve_sampler_workers",
     "PARALLEL_MIN_SAMPLES",
-    "legacy_parallel_prr_collection",
-    "legacy_parallel_critical_sets",
 ]
 
 # Samples per streamed chunk: small enough that stragglers rebalance,
@@ -133,17 +126,6 @@ MAX_CONSECUTIVE_DEATHS = 3
 # results are arriving.  Bounds fault-detection latency, not result
 # latency — gatherers are woken per arriving result.
 _POLL_INTERVAL = 0.2
-
-# Escape hatch for overhead measurement (benchmarks/bench_faults.py):
-# setting REPRO_RUNTIME_SUPERVISION=0 before the pool starts disables
-# claim messages and liveness sweeps, reproducing the pre-supervision
-# fail-fast runtime as a same-machine baseline arm.
-_SUPERVISION_ENV = "REPRO_RUNTIME_SUPERVISION"
-
-
-def _supervision_enabled() -> bool:
-    return os.environ.get(_SUPERVISION_ENV, "1") != "0"
-
 
 def fork_available() -> bool:
     """Whether the platform supports the fork start method."""
@@ -455,7 +437,6 @@ def _worker_main(
     source, n, m, task_queue, result_queue, worker_id, generation
 ) -> None:
     plan = faults.plan_from_env()  # inherited at fork; None in production
-    supervised = _supervision_enabled()
     if source[0] == "store":
         # mmap-backed graph: attach by path.  Every worker maps the same
         # file, so the page cache is shared across the pool and no copy
@@ -475,11 +456,10 @@ def _worker_main(
             break
         task_id, kind, seed, size, params = task
         chunk_index += 1
-        if supervised:
-            # Claim before computing: the collector learns chunk
-            # ownership, so a death (or a vanished result) is attributable
-            # to exactly one chunk and that chunk can be re-enqueued.
-            result_queue.put(("claim", worker_id, task_id))
+        # Claim before computing: the collector learns chunk ownership,
+        # so a death (or a vanished result) is attributable to exactly
+        # one chunk and that chunk can be re-enqueued.
+        result_queue.put(("claim", worker_id, task_id))
         action = (
             plan.action_for(worker_id, generation, chunk_index)
             if plan is not None
@@ -593,7 +573,6 @@ class SharedGraphRuntime:
         self.graph = graph
         self.graph_version = getattr(graph, "version", 0)
         self.workers = int(workers)
-        self.supervised = _supervision_enabled()
         self.max_task_retries = int(max_task_retries)
         self.max_consecutive_deaths = int(max_consecutive_deaths)
         self.retry_backoff = float(retry_backoff)
@@ -872,11 +851,10 @@ class SharedGraphRuntime:
                 msg = self._results.get(timeout=_POLL_INTERVAL)
             except Exception:
                 msg = None
-            if self.supervised:
-                now = time.monotonic()
-                if msg is None or now - last_sweep >= _POLL_INTERVAL:
-                    self._sweep()
-                    last_sweep = now
+            now = time.monotonic()
+            if msg is None or now - last_sweep >= _POLL_INTERVAL:
+                self._sweep()
+                last_sweep = now
             if msg is None:
                 continue
             if msg[0] == "claim":
@@ -1293,120 +1271,3 @@ def parallel_prr_payloads(
         graph, "prr", jobs, (tuple(seed_set), k), _resolve_workers(workers)
     )
     return [(graph.n, *arrays) for arrays in parts]
-
-
-# ----------------------------------------------------------------------
-# Legacy per-call pool path (benchmark baseline)
-# ----------------------------------------------------------------------
-_LEGACY_CHUNK = 64
-
-_worker_graph: Optional[DiGraph] = None
-_worker_seeds: Optional[frozenset] = None
-_worker_k: int = 0
-
-
-def _init_worker(graph: DiGraph, seeds: frozenset, k: int) -> None:
-    global _worker_graph, _worker_seeds, _worker_k
-    _worker_graph = graph
-    _worker_seeds = seeds
-    _worker_k = k
-    SamplingEngine.for_graph(graph)
-
-
-def _worker_sample_graphs(args: Tuple[int, int, int]) -> Tuple[int, tuple]:
-    chunk_id, seed, count = args
-    rng = np.random.default_rng(seed)
-    arena = sample_prr_arena(_worker_graph, _worker_seeds, _worker_k, rng, count)
-    return chunk_id, arena.payload()
-
-
-def _worker_sample_critical(
-    args: Tuple[int, int, int]
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    chunk_id, seed, count = args
-    rng = np.random.default_rng(seed)
-    engine = SamplingEngine.for_graph(_worker_graph)
-    counts = np.empty(count, dtype=np.int64)
-    members: List[np.ndarray] = []
-    for i in range(count):
-        _status, crit, _explored = engine.critical_members(_worker_seeds, rng)
-        counts[i] = crit.size
-        members.append(crit)
-    values = (
-        np.concatenate(members).astype(np.int32, copy=False)
-        if members
-        else np.empty(0, dtype=np.int32)
-    )
-    return chunk_id, counts, values
-
-
-def _legacy_chunk_jobs(count: int, master_seed: int) -> List[Tuple[int, int, int]]:
-    num_chunks = math.ceil(count / _LEGACY_CHUNK)
-    base, extra = divmod(count, num_chunks)
-    sizes = [base + (1 if i < extra else 0) for i in range(num_chunks)]
-    seq = np.random.SeedSequence(master_seed)
-    seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(num_chunks)]
-    return [
-        (cid, seed, size)
-        for cid, (seed, size) in enumerate(zip(seeds, sizes))
-        if size > 0
-    ]
-
-
-def legacy_parallel_prr_collection(
-    graph: DiGraph,
-    seeds,
-    k: int,
-    count: int,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> PRRArena:
-    """The PR-2 parallel path, preserved verbatim as a baseline: a fork
-    pool spun up per call (graph pickled to every worker via initargs),
-    single-sample chunk loops, pickled payload results."""
-    seed_set = frozenset(int(s) for s in seeds)
-    workers = _resolve_workers(workers)
-    if workers <= 1 or count < _LEGACY_CHUNK or not fork_available():
-        rng = np.random.default_rng(master_seed)
-        return sample_prr_arena(graph, seed_set, k, rng, count)
-    jobs = _legacy_chunk_jobs(count, master_seed)
-    ctx = mp.get_context("fork")
-    with ctx.Pool(
-        workers, initializer=_init_worker, initargs=(graph, seed_set, k)
-    ) as pool:
-        parts = list(pool.imap_unordered(_worker_sample_graphs, jobs))
-    parts.sort(key=lambda part: part[0])
-    return PRRArena.from_payloads([payload for _cid, payload in parts])
-
-
-def legacy_parallel_critical_sets(
-    graph: DiGraph,
-    seeds,
-    count: int,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> List[FrozenSet[int]]:
-    """The PR-2 parallel critical-set path (see
-    :func:`legacy_parallel_prr_collection`)."""
-    seed_set = frozenset(int(s) for s in seeds)
-    workers = _resolve_workers(workers)
-    if workers <= 1 or count < _LEGACY_CHUNK or not fork_available():
-        rng = np.random.default_rng(master_seed)
-        engine = SamplingEngine.for_graph(graph)
-        return [
-            critical
-            for _status, critical, _explored in (
-                engine.critical_set(seed_set, rng) for _ in range(count)
-            )
-        ]
-    jobs = _legacy_chunk_jobs(count, master_seed)
-    ctx = mp.get_context("fork")
-    with ctx.Pool(
-        workers, initializer=_init_worker, initargs=(graph, seed_set, 1)
-    ) as pool:
-        parts = list(pool.imap_unordered(_worker_sample_critical, jobs))
-    parts.sort(key=lambda part: part[0])
-    out: List[FrozenSet[int]] = []
-    for _cid, counts, values in parts:
-        out.extend(csr_to_frozensets(counts, values))
-    return out

@@ -20,9 +20,9 @@ Everything here is a thin veneer over the engine's pluggable
 diffusion-model layer (:mod:`repro.engine.models`, ``model="lt"``):
 cascades run on the shared frontier CSR traversal, Monte-Carlo
 estimation on the hashed-world cascade lane kernels of
-:mod:`repro.engine.lanes`.  The pre-engine per-node loop survives as
-:func:`repro.engine.reference.reference_simulate_lt_spread` (and its
-world-seeded twin), the seeded oracles the engine kernels are pinned to.
+:mod:`repro.engine.lanes`.  The pre-engine per-node loop survives beside the tests as
+``oracles.engine.reference_simulate_lt_spread`` (and its world-seeded
+twin), the seeded oracles the engine kernels are pinned to.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Two pieces of Section III the main simulator does not cover:
   implement that variant.  Simulation runs on the engine's pluggable
   diffusion-model layer (``model="ic_out"``, same frontier traversal and
   lane kernels as the main model); the pre-engine per-node loop survives
-  as :func:`repro.engine.reference.reference_simulate_spread_outgoing`,
+  beside the tests as ``oracles.engine.reference_simulate_spread_outgoing``,
   the seeded oracle the engine path is pinned to bit-for-bit.
 
 * **Brute-force k-boosting oracle** — NP-hardness permits exhaustive search

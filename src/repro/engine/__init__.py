@@ -32,9 +32,9 @@ exploration — runs on the primitives in this package:
   node→set CSR and a vectorized greedy max-coverage kernel (warm
   restarts across IMM doubling rounds).
 
-:mod:`repro.engine.reference` keeps the pre-engine pure-Python samplers as
-oracles for the seeded equivalence tests and the speedup benchmarks; it is
-deliberately not imported here so production code never pays for it.
+The pre-engine pure-Python samplers live beside the tests
+(``tests/oracles/engine.py``) as oracles for the seeded equivalence tests
+and the speedup benchmarks; they are not part of the package.
 
 Concurrency contract
 --------------------

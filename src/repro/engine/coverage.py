@@ -17,8 +17,9 @@ updates (``gain -= bincount(members of newly covered sets)``).  The index
 survives across IMM doubling rounds — a warm restart appends the new
 samples and re-runs the kernel instead of rebuilding from Python sets.
 
-The kernel is pinned to the exact outputs of the legacy heap greedy
-(:func:`repro.im.greedy.legacy_greedy_max_coverage`): both choose, per
+The kernel is pinned to the exact outputs of the dict/heap greedy it
+replaced (kept beside the tests as
+``oracles.selection.legacy_greedy_max_coverage``): both choose, per
 round, the node of maximum current gain with ties broken toward the
 smallest node id, and both stop when no candidate adds coverage.
 ``tests/test_selection.py`` enforces the equivalence on seeded instances.
@@ -45,7 +46,7 @@ def csr_to_frozensets(counts: np.ndarray, values: np.ndarray) -> List[frozenset]
     """Materialize a ``(counts, values)`` member CSR as frozensets.
 
     The inverse convenience of :meth:`CoverageIndex.extend_csr`, for the
-    callers that still speak list-of-frozensets (legacy selection arms,
+    callers that still speak list-of-frozensets (the selection oracle,
     sampler ``sample_batch`` protocols): row ``i`` is
     ``values[sum(counts[:i]) : sum(counts[:i+1])]``.
     """
@@ -232,7 +233,7 @@ class CoverageIndex:
     ) -> Tuple[List[int], int]:
         """Greedy max-coverage over the first ``limit`` sets (all when None).
 
-        Returns ``(chosen, covered)`` exactly like the legacy heap greedy:
+        Returns ``(chosen, covered)`` exactly like the dict/heap oracle:
         per round the maximum-gain node (smallest id on ties), stopping
         early when no candidate covers a fresh set.
         """

@@ -26,7 +26,7 @@ time (:meth:`DiffusionModel.simulate_hashed`) or
 :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` worlds per frontier step
 (:meth:`DiffusionModel.cascade_lanes`) — which is what pins the lane
 kernels to the retained pure-Python oracles in
-:mod:`repro.engine.reference` bit-for-bit.
+``tests/oracles/engine.py`` bit-for-bit.
 
 Models are stateless singletons resolved by name::
 
@@ -109,7 +109,7 @@ class DiffusionModel:
         """One RNG-driven cascade; returns the activated node set.
 
         Draw order is pinned to the retained pure-Python oracle of the
-        same model (:mod:`repro.engine.reference`), so seeded runs are
+        same model (``tests/oracles/engine.py``), so seeded runs are
         bit-for-bit comparable.
         """
         raise NotImplementedError

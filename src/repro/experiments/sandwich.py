@@ -10,12 +10,12 @@ the sets whose boost stays large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import List, Sequence, Set, Union
 
 import numpy as np
 
 from ..core.estimator import estimate_delta, estimate_mu
-from ..core.prr import PRRGraph
+from ..core.prr import PRRArena, PRRGraph
 
 __all__ = ["RatioPoint", "perturbed_sets", "sandwich_ratio_experiment"]
 
@@ -57,7 +57,7 @@ def perturbed_sets(
 
 
 def sandwich_ratio_experiment(
-    prr_graphs: Sequence[PRRGraph],
+    prr_graphs: Union[PRRArena, Sequence[PRRGraph]],
     n: int,
     base_set: Sequence[int],
     candidates: Sequence[int],
@@ -71,6 +71,9 @@ def sandwich_ratio_experiment(
     boost are dropped, matching the paper's plotting rule (it only shows the
     ratio where the boost of influence is large).
     """
+    if not isinstance(prr_graphs, PRRArena):
+        # Convert once; every estimate below then reuses the same arena.
+        prr_graphs = PRRArena.from_graphs(n, prr_graphs)
     base_boost = estimate_delta(prr_graphs, n, set(base_set))
     points: List[RatioPoint] = []
     for perturbed in perturbed_sets(base_set, candidates, count, rng):

@@ -1,6 +1,6 @@
 """Influence maximization substrate: RR-sets, IMM, greedy coverage."""
 
-from .greedy import greedy_max_coverage, lazy_greedy, legacy_greedy_max_coverage
+from .greedy import greedy_max_coverage, lazy_greedy
 from .imm import (
     IMMResult,
     SetSampler,
@@ -18,7 +18,6 @@ __all__ = [
     "random_rr_set",
     "RRSampler",
     "greedy_max_coverage",
-    "legacy_greedy_max_coverage",
     "lazy_greedy",
     "imm",
     "imm_core",

@@ -5,14 +5,13 @@ reduce to the same primitive: given a collection of sampled node sets, pick
 ``k`` nodes covering the most sets.  Plain greedy gives the classical
 ``1 - 1/e`` guarantee for this (submodular) objective.
 
-:func:`greedy_max_coverage` now runs on the flat
+:func:`greedy_max_coverage` runs on the flat
 :class:`repro.engine.coverage.CoverageIndex` (dense-gain argmax with
-decrement-on-cover, no per-set Python objects); the pre-index heap
-implementation is kept verbatim as :func:`legacy_greedy_max_coverage` — the
-seeded-equivalence oracle and benchmark baseline, same pattern as
-:mod:`repro.engine.reference`.  The two produce identical outputs (same
-picks, same smallest-id tie-breaks); ``tests/test_selection.py`` enforces
-it.
+decrement-on-cover, no per-set Python objects).  The pre-index dict/heap
+implementation it replaced is kept beside the tests as the
+seeded-equivalence oracle (``tests/oracles/selection.py``); the two
+produce identical outputs (same picks, same smallest-id tie-breaks), which
+``tests/test_selection.py`` enforces.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from ..engine.coverage import CoverageIndex, SetsView
 
-__all__ = ["greedy_max_coverage", "legacy_greedy_max_coverage", "lazy_greedy"]
+__all__ = ["greedy_max_coverage", "lazy_greedy"]
 
 
 def greedy_max_coverage(
@@ -72,48 +71,6 @@ def greedy_max_coverage(
     for arr in arrays:
         index.append_array(arr)
     return index.greedy(k, candidates)
-
-
-def legacy_greedy_max_coverage(
-    sets: Sequence[Iterable[int]],
-    k: int,
-    candidates: Set[int] | None = None,
-) -> Tuple[List[int], int]:
-    """The pre-index dict/heap greedy — seeded-equivalence oracle.
-
-    Lazy-greedy with a max-heap of stale upper bounds; valid because
-    coverage gain is submodular (gains only shrink).
-    """
-    if k <= 0:
-        return [], 0
-    # Inverted index: node -> list of set ids containing it.
-    inverted: dict[int, list[int]] = {}
-    for set_id, node_set in enumerate(sets):
-        for node in node_set:
-            if candidates is None or node in candidates:
-                inverted.setdefault(node, []).append(set_id)
-
-    gain = {node: len(ids) for node, ids in inverted.items()}
-    covered = [False] * len(sets)
-    chosen: List[int] = []
-    total_covered = 0
-
-    heap = [(-g, node) for node, g in gain.items()]
-    heapq.heapify(heap)
-    while heap and len(chosen) < k:
-        neg_gain, node = heapq.heappop(heap)
-        fresh = sum(1 for sid in inverted[node] if not covered[sid])
-        if fresh != -neg_gain:
-            if fresh > 0:
-                heapq.heappush(heap, (-fresh, node))
-            continue
-        if fresh == 0:
-            break
-        chosen.append(node)
-        total_covered += fresh
-        for sid in inverted[node]:
-            covered[sid] = True
-    return chosen, total_covered
 
 
 def lazy_greedy(

@@ -18,11 +18,10 @@ list from scratch — the dominant cost of the pre-index sampling phase.
 Samplers may expose ``sample_into(rng, count, index)`` to stream member
 arrays straight into the index; the returned sample collection is a lazy
 :class:`~repro.engine.coverage.SetsView`, so frozensets are only
-materialized for callers that actually read them.  Passing
-``legacy_selection=True`` re-enables the pre-index path (Python sample
-list + heap greedy) — the seeded-equivalence oracle and benchmark
-baseline; both paths consume the RNG identically and return identical
-samples and selections.
+materialized for callers that actually read them.  The pre-index path
+(Python sample list + heap greedy) is kept beside the tests as the
+seeded-equivalence oracle (``tests/oracles/selection.py``); it consumes
+the RNG identically and returns identical samples and selections.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import FrozenSet, List, Protocol, Sequence, Set
 import numpy as np
 
 from ..engine.coverage import CoverageIndex
-from .greedy import legacy_greedy_max_coverage
 from .rr import RRSampler
 
 __all__ = [
@@ -62,24 +60,6 @@ class SetSampler(Protocol):
 
     def sample(self, rng: np.random.Generator) -> FrozenSet[int]:  # pragma: no cover
         ...
-
-
-def _extend_samples(
-    samples: List[FrozenSet[int]],
-    sampler: SetSampler,
-    rng: np.random.Generator,
-    target: int,
-) -> None:
-    """Grow ``samples`` to ``target`` entries, batched when supported."""
-    need = target - len(samples)
-    if need <= 0:
-        return
-    batch = getattr(sampler, "sample_batch", None)
-    if batch is not None:
-        samples.extend(batch(rng, need))
-        return
-    while len(samples) < target:
-        samples.append(sampler.sample(rng))
 
 
 def _extend_index(
@@ -148,7 +128,6 @@ def imm_sampling(
     candidates: Set[int] | None = None,
     max_samples: int = 2_000_000,
     index: CoverageIndex | None = None,
-    legacy_selection: bool = False,
 ) -> Sequence[FrozenSet[int]]:
     """IMM sampling phase: draw enough sets for the approximation guarantee.
 
@@ -160,10 +139,7 @@ def imm_sampling(
     ``index`` (optional, must be empty) receives every sample; callers that
     run further selections over the collection — e.g. the final
     max-coverage pick of :func:`imm` or PRR-Boost's μ arm — pass one in
-    and reuse it, skipping any rebuild.  With ``legacy_selection=True``
-    the doubling rounds run the pre-index heap greedy over a Python
-    sample list instead (oracle/benchmark path; identical RNG consumption
-    and results).
+    and reuse it, skipping any rebuild.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -173,13 +149,10 @@ def imm_sampling(
     log_n = math.log(max(n, 2))
     log_nk = log_binomial(n, k)
 
-    if legacy_selection:
-        samples: List[FrozenSet[int]] = []
-    else:
-        if index is None:
-            index = CoverageIndex(n)
-        elif index.num_sets:
-            raise ValueError("imm_sampling requires an empty index")
+    if index is None:
+        index = CoverageIndex(n)
+    elif index.num_sets:
+        raise ValueError("imm_sampling requires an empty index")
     lower_bound = 1.0
 
     eps_prime = math.sqrt(2.0) * epsilon
@@ -195,14 +168,9 @@ def imm_sampling(
     for i in range(1, max_rounds):
         x = n / (2.0**i)
         theta_i = min(int(math.ceil(lambda_prime / x)), max_samples)
-        if legacy_selection:
-            _extend_samples(samples, sampler, rng, theta_i)
-            chosen, covered = legacy_greedy_max_coverage(samples, k, candidates)
-            drawn = len(samples)
-        else:
-            _extend_index(index, sampler, rng, theta_i)
-            chosen, covered = index.greedy(k, candidates)
-            drawn = index.num_sets
+        _extend_index(index, sampler, rng, theta_i)
+        _chosen, covered = index.greedy(k, candidates)
+        drawn = index.num_sets
         estimate = n * covered / drawn
         if estimate >= (1.0 + eps_prime) * x:
             lower_bound = estimate / (1.0 + eps_prime)
@@ -217,9 +185,6 @@ def imm_sampling(
     beta = math.sqrt((1.0 - 1.0 / math.e) * (log_nk + ell * log_n + math.log(2.0)))
     lambda_star = 2.0 * n * ((1.0 - 1.0 / math.e) * alpha + beta) ** 2 / (epsilon**2)
     theta = min(int(math.ceil(lambda_star / max(lower_bound, 1e-12))), max_samples)
-    if legacy_selection:
-        _extend_samples(samples, sampler, rng, theta)
-        return samples
     _extend_index(index, sampler, rng, theta)
     return index.sets_view()
 
@@ -231,7 +196,6 @@ def imm_core(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 2_000_000,
-    legacy_selection: bool = False,
     workers: int | None = None,
 ) -> IMMResult:
     """Classical influence maximization: select ``k`` seeds with IMM.
@@ -241,25 +205,18 @@ def imm_core(
     ``workers > 1`` draws the RR-sets on the shared-memory parallel
     runtime (:mod:`repro.core.parallel`); selection stays in-process.
 
-    This is the algorithm body; :func:`imm` is the legacy-shaped wrapper
+    This is the algorithm body; :func:`imm` is the free-function wrapper
     over a throwaway :class:`repro.api.Session`, and the session API
     dispatches here.  The coverage index is always private to the call:
     the returned ``samples`` view stays valid for as long as the caller
     holds the result, so no warm-session scratch is recycled into it.
     """
     sampler = RRSampler(graph, workers=workers)
-    if legacy_selection:
-        samples = imm_sampling(
-            sampler, k, epsilon, ell, rng, max_samples=max_samples,
-            legacy_selection=True,
-        )
-        chosen, covered = legacy_greedy_max_coverage(samples, k)
-    else:
-        index = CoverageIndex(graph.n)
-        samples = imm_sampling(
-            sampler, k, epsilon, ell, rng, max_samples=max_samples, index=index
-        )
-        chosen, covered = index.greedy(k)
+    index = CoverageIndex(graph.n)
+    samples = imm_sampling(
+        sampler, k, epsilon, ell, rng, max_samples=max_samples, index=index
+    )
+    chosen, covered = index.greedy(k)
     estimate = graph.n * covered / len(samples)
     return IMMResult(
         chosen=chosen,
@@ -277,7 +234,6 @@ def imm(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 2_000_000,
-    legacy_selection: bool = False,
     workers: int | None = None,
 ) -> IMMResult:
     """Classical influence maximization: select ``k`` seeds with IMM.
@@ -294,7 +250,6 @@ def imm(
         budget=SamplingBudget(
             max_samples=max_samples, epsilon=epsilon, ell=ell, workers=workers
         ),
-        params={"legacy_selection": legacy_selection},
     )
     with Session(graph, manage_runtime=False) as session:
         return session.run(query, rng=rng).raw

@@ -50,8 +50,8 @@ class RRSampler:
     candidate nodes; this class provides that interface for classical
     influence maximization, plus the batched forms the sampling phases
     prefer.  ``sample_batch`` and ``sample_into`` share one CSR draw per
-    request, so the legacy and vectorized selection paths see identical
-    samples for identical RNG states.
+    request, so the selection oracle (which reads ``sample_batch``) and
+    the index path see identical samples for identical RNG states.
 
     ``workers > 1`` routes batch requests of at least
     ``repro.core.parallel.PARALLEL_MIN_SAMPLES`` through the

@@ -1,20 +1,15 @@
 """Bidirected-tree algorithms: exact computation, Greedy-Boost, DP-Boost.
 
 ``dp_boost``/``compute_tree_state``/``reachability_weight`` run the
-vectorized level-batched numpy kernels; the pinned loop oracles live in
-:mod:`repro.trees.reference` (``legacy_*``) and produce bit-identical
-results, which the parity tests assert.
+vectorized level-batched numpy kernels; the pinned loop oracles they
+replaced live beside the tests (``tests/oracles/trees.py``) and produce
+bit-identical results, which the parity tests assert.
 """
 
 from .bidirected import BidirectedTree, TreePlan
 from .dp import DPBoostResult, dp_boost, reachability_weight
 from .exact import TreeComputation, compute_tree_state, delta, sigma
 from .greedy import GreedyBoostResult, greedy_boost
-from .reference import (
-    legacy_compute_tree_state,
-    legacy_dp_boost,
-    legacy_reachability_weight,
-)
 
 __all__ = [
     "BidirectedTree",
@@ -28,7 +23,4 @@ __all__ = [
     "dp_boost",
     "DPBoostResult",
     "reachability_weight",
-    "legacy_compute_tree_state",
-    "legacy_dp_boost",
-    "legacy_reachability_weight",
 ]

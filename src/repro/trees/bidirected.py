@@ -85,8 +85,8 @@ def reachability_weight(tree: "BidirectedTree") -> float:
     the (1 − ε) guarantee at a small extra cost.  Self pairs contribute 1
     each.
 
-    Closed form replacing the O(n²) DFS of
-    :func:`repro.trees.reference.legacy_reachability_weight`: with
+    Closed form replacing the O(n²) DFS loop (kept beside the tests as
+    ``oracles.trees.legacy_reachability_weight``): with
     ``A[v] = Σ_{u ∈ subtree(v), u ≠ v} Π path(v→u)`` and ``B[v]`` the same
     sum over nodes *outside* the subtree,
 

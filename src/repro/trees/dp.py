@@ -24,8 +24,9 @@ per-node reachable ranges ``[c_lo, c_hi]`` / ``[f_lo, f_hi]`` (no boosting
 vs. everything boosted) shrink the grids from ``1/δ`` to the narrow band a
 node can actually attain.
 
-Vectorized layout (this module) vs. the loop oracle
-(:func:`repro.trees.reference.legacy_dp_boost`): within each tree level,
+Vectorized layout vs. the per-node loop fills this module replaced
+(kept beside the tests as ``oracles.trees.legacy_dp_boost``): within each
+tree level,
 nodes whose (own + child) grids round up to the same power-of-two shape
 class share one dense plane ``(L, k+1, C, F)``, and the per-node fill loops
 become batched (max,+)-convolutions over budget splits on those planes —
@@ -42,31 +43,30 @@ tables — which is why one shared backtrack yields identical selections and
 the parity gates in ``tests/test_failure_modes.py`` and
 ``benchmarks/bench_trees.py`` can assert exact agreement rather than
 tolerances.
+
+The rounding grid (:class:`_Rounding`, :func:`_grid`,
+:func:`_compute_ranges`), the table container (:class:`_NodeTable`), the
+sequential general-fan-out recurrence and the backtracking epilogue
+(:func:`finish_dp`) are written once here and shared with the loop
+oracle: both fills produce bit-identical tables, so one backtrack serves
+both and the selections match exactly.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .bidirected import BidirectedTree, reachability_weight
-from .exact import compute_tree_state
+from .exact import TreeComputation, compute_tree_state
 from .greedy import greedy_boost
-from .reference import (
-    DPBoostResult,
-    NEG_INF,
-    _child_best_for_seed_parent,
-    _compute_ranges,
-    _fill_internal_general,
-    _grid,
-    _NodeTable,
-    _Rounding,
-    finish_dp,
-    legacy_dp_boost,
-)
 
-__all__ = ["DPBoostResult", "dp_boost", "legacy_dp_boost", "reachability_weight"]
+__all__ = ["DPBoostResult", "dp_boost", "reachability_weight"]
+
+NEG_INF = float("-inf")
 
 # Per-chunk temporary-array element budget for the batched fills; the f
 # axis is chunked so batch fills never materialize more than this.
@@ -76,6 +76,143 @@ _F_CHUNK_ELEMS = 4_000_000
 # kernel would allocate too much; those rare nodes fall back to the oracle
 # fill (same values, so parity is unaffected).
 _GENERAL_DENSE_LIMIT = 40_000_000
+
+
+@dataclass
+class DPBoostResult:
+    """Outcome of DP-Boost.
+
+    ``dp_value`` is the rounded objective (a certified lower bound on the
+    achievable boost); ``boost`` is the exact ``Δ_S`` of the returned set,
+    which is always ``>= dp_value`` up to floating error.
+    """
+
+    boost_set: List[int]
+    dp_value: float
+    boost: float
+    delta_param: float
+    table_entries: int
+
+
+# ----------------------------------------------------------------------
+# Rounding grids and node tables
+# ----------------------------------------------------------------------
+class _Rounding:
+    """Down/up rounding to multiples of δ with 1.0 as a special value."""
+
+    __slots__ = ("delta", "one_idx")
+
+    def __init__(self, delta: float) -> None:
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        self.delta = delta
+        self.one_idx = int(math.ceil(1.0 / delta)) + 2
+
+    def down(self, x: float) -> int:
+        if x >= 1.0 - 1e-12:
+            return self.one_idx
+        if x <= 0.0:
+            return 0
+        return int(math.floor(x / self.delta + 1e-9))
+
+    def up(self, x: float) -> int:
+        if x >= 1.0 - 1e-12:
+            return self.one_idx
+        if x <= 0.0:
+            return 0
+        return int(math.ceil(x / self.delta - 1e-9))
+
+    def value(self, idx: int) -> float:
+        if idx == self.one_idx:
+            return 1.0
+        return min(idx * self.delta, 1.0)
+
+
+class _NodeTable:
+    """DP table of one node: value array over (κ, c, f) with index maps."""
+
+    __slots__ = ("c_keys", "f_keys", "c_pos", "f_pos", "values")
+
+    def __init__(self, k: int, c_keys: List[int], f_keys: List[int]) -> None:
+        self.c_keys = c_keys
+        self.f_keys = f_keys
+        self.c_pos = {c: i for i, c in enumerate(c_keys)}
+        self.f_pos = {f: i for i, f in enumerate(f_keys)}
+        self.values = np.full((k + 1, len(c_keys), len(f_keys)), NEG_INF)
+
+
+def _compute_ranges(
+    tree: BidirectedTree, rnd: _Rounding
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reachable rounded ranges for ``c`` and ``f`` per node (refinement)."""
+    n = tree.n
+    c_lo = np.zeros(n, dtype=np.int64)
+    c_hi = np.zeros(n, dtype=np.int64)
+    f_lo = np.zeros(n, dtype=np.int64)
+    f_hi = np.zeros(n, dtype=np.int64)
+
+    for v in reversed(tree.order):
+        if v in tree.seeds:
+            c_lo[v] = c_hi[v] = rnd.one_idx
+        elif not tree.children[v]:
+            c_lo[v] = c_hi[v] = 0
+        else:
+            lo = 1.0
+            hi = 1.0
+            for c in tree.children[v]:
+                lo *= 1.0 - rnd.value(int(c_lo[c])) * tree.p_up[c]
+                hi *= 1.0 - rnd.value(int(c_hi[c])) * tree.pp_up[c]
+            c_lo[v] = rnd.down(1.0 - lo)
+            c_hi[v] = rnd.up(1.0 - hi)
+
+    f_lo[tree.root] = 0
+    f_hi[tree.root] = 0
+    for v in tree.order:
+        kids = tree.children[v]
+        if not kids:
+            continue
+        if v in tree.seeds:
+            for c in kids:
+                f_lo[c] = f_hi[c] = rnd.one_idx
+            continue
+        par_lo = rnd.value(int(f_lo[v])) * tree.p_down[v]
+        par_hi = rnd.value(int(f_hi[v])) * tree.pp_down[v]
+        for i, ci in enumerate(kids):
+            lo = 1.0 - par_lo
+            hi = 1.0 - par_hi
+            for j, cj in enumerate(kids):
+                if j == i:
+                    continue
+                lo *= 1.0 - rnd.value(int(c_lo[cj])) * tree.p_up[cj]
+                hi *= 1.0 - rnd.value(int(c_hi[cj])) * tree.pp_up[cj]
+            f_lo[ci] = rnd.down(1.0 - lo)
+            f_hi[ci] = rnd.up(1.0 - hi)
+    return c_lo, c_hi, f_lo, f_hi
+
+
+def _grid(lo: int, hi: int, rnd: _Rounding, limit: int = 500_000) -> List[int]:
+    if lo == rnd.one_idx:
+        return [rnd.one_idx]
+    if hi == rnd.one_idx:
+        # Activation can reach exactly 1 (p=1 chains); keep the band plus 1.
+        hi_reg = min(int(math.ceil(1.0 / rnd.delta)), lo + limit)
+        return list(range(lo, hi_reg + 1)) + [rnd.one_idx]
+    if hi - lo > limit:
+        raise MemoryError(
+            "DP-Boost grid too fine; increase epsilon (grid width "
+            f"{hi - lo} exceeds {limit})"
+        )
+    return list(range(lo, hi + 1))
+
+
+def _child_best_for_seed_parent(
+    child_table: _NodeTable, rnd: _Rounding, k: int
+) -> np.ndarray:
+    """``max_c g'(child, κ, c, f=1)`` per κ (children of seeds see f = 1)."""
+    fpos = child_table.f_pos.get(rnd.one_idx)
+    if fpos is None:
+        return np.full(k + 1, NEG_INF)
+    return child_table.values[:, :, fpos].max(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -687,7 +824,6 @@ def dp_boost(
     k: int,
     epsilon: float = 0.5,
     delta_override: Optional[float] = None,
-    method: str = "vectorized",
 ) -> DPBoostResult:
     """Run DP-Boost and return a ``(1 − ε)``-approximate boost set.
 
@@ -703,16 +839,7 @@ def dp_boost(
     delta_override:
         Directly set the rounding parameter δ (testing/ablation hook);
         bypasses Equation 13.
-    method:
-        ``"vectorized"`` (default) runs the level-batched numpy fills;
-        ``"legacy"`` is the escape hatch to the pinned loop oracle
-        (:func:`repro.trees.reference.legacy_dp_boost`).  Both produce
-        bit-identical tables and therefore identical selections.
     """
-    if method == "legacy":
-        return legacy_dp_boost(tree, k, epsilon, delta_override)
-    if method != "vectorized":
-        raise ValueError(f"unknown dp_boost method: {method!r}")
     if k <= 0:
         raise ValueError("k must be positive")
     if not 0.0 < epsilon:
@@ -744,3 +871,423 @@ def dp_boost(
     return finish_dp(
         tree, k, tables, rnd, ap0, base_state, delta_param, total_entries
     )
+
+
+# ----------------------------------------------------------------------
+# Epilogue: root argmax, backtrack, exact re-evaluation
+# ----------------------------------------------------------------------
+def finish_dp(
+    tree: BidirectedTree,
+    k: int,
+    tables: Dict[int, _NodeTable],
+    rnd: _Rounding,
+    ap0: np.ndarray,
+    base_state: TreeComputation,
+    delta_param: float,
+    total_entries: int,
+) -> DPBoostResult:
+    """Shared epilogue: root argmax, backtrack, exact re-evaluation.
+
+    Both fill paths produce bit-identical tables, so running one epilogue
+    over either keeps the returned selections identical too.
+    """
+    root_table = tables[tree.root]
+    froot = root_table.f_pos[0] if 0 in root_table.f_pos else 0
+    root_vals = root_table.values[:, :, froot]
+    best_flat = int(np.argmax(root_vals))
+    best_kappa, best_cpos = np.unravel_index(best_flat, root_vals.shape)
+    dp_value = float(root_vals[best_kappa, best_cpos])
+    if dp_value == NEG_INF or dp_value <= 0.0:
+        return DPBoostResult([], max(dp_value, 0.0), 0.0, delta_param, total_entries)
+
+    boost: set[int] = set()
+    _backtrack(
+        tree,
+        tree.root,
+        int(best_kappa),
+        root_table.c_keys[best_cpos],
+        root_table.f_keys[froot],
+        tables,
+        rnd,
+        ap0,
+        k,
+        boost,
+    )
+    exact = compute_tree_state(tree, boost).sigma - base_state.sigma
+    return DPBoostResult(sorted(boost), dp_value, float(exact), delta_param, total_entries)
+
+
+def _leaf_value(
+    tree: BidirectedTree, v: int, b: int, cval: float, fval: float, ap0: np.ndarray
+) -> float:
+    p_in = tree.pp_down[v] if b else tree.p_down[v]
+    return max(1.0 - (1.0 - cval) * (1.0 - fval * p_in) - float(ap0[v]), 0.0)
+
+
+# ----------------------------------------------------------------------
+# General fan-out (Appendix B): sequential child combination
+# ----------------------------------------------------------------------
+def _clamp_key(key: int, keys: List[int]) -> int:
+    """Clamp a derived rounded key into a grid (monotone grids, ONE last)."""
+    if key <= keys[0]:
+        return keys[0]
+    if key >= keys[-1]:
+        return keys[-1]
+    return key
+
+
+def _general_levels(
+    tree: BidirectedTree,
+    v: int,
+    k: int,
+    tables: Dict[int, _NodeTable],
+    rnd: _Rounding,
+    b: int,
+    f_keys: List[int],
+):
+    """Helper tables ``h(b, i, κ, x_i, z_i)`` of the appendix's Algorithm 7.
+
+    Children are combined left to right.  ``x_i`` is the rounded probability
+    that ``v`` is activated by its first ``i`` subtrees; ``z_i`` is the
+    suffix linkage value (``z_d`` is ``v``'s own ``f`` key, and for ``i<d``
+    ``z_i = y_i``, the rounded probability that ``v`` is activated by the
+    parent side plus children ``i+1..d``).  Each level is a dict
+    ``z_key -> {(κ, x_key): (value, choice)}`` with
+    ``choice = (κ_i, c_key_i, f_key_vi, prev_key, z_prev)`` for backtracking.
+    """
+    kids = tree.children[v]
+    d = len(kids)
+    pb = [
+        (tree.pp_up[c] if b else tree.p_up[c]) for c in kids
+    ]
+    pb_uv = tree.pp_down[v] if b else tree.p_down[v]
+
+    # y-range per level (suffix activation band), computed right to left.
+    y_lo = [0.0] * (d + 1)
+    y_hi = [0.0] * (d + 1)
+    y_lo[d] = rnd.value(f_keys[0]) * tree.p_down[v]
+    y_hi[d] = rnd.value(f_keys[-1]) * tree.pp_down[v]
+    for i in range(d - 1, 0, -1):
+        child = kids[i]  # child i+1 in 1-based terms
+        ct = tables[child]
+        c_lo_val = rnd.value(ct.c_keys[0])
+        c_hi_val = rnd.value(ct.c_keys[-1])
+        y_lo[i] = 1.0 - (1.0 - y_lo[i + 1]) * (1.0 - c_lo_val * tree.p_up[child])
+        y_hi[i] = 1.0 - (1.0 - y_hi[i + 1]) * (1.0 - c_hi_val * tree.pp_up[child])
+
+    def z_grid(i: int) -> List[int]:
+        if i == d:
+            return f_keys
+        return _grid(rnd.down(y_lo[i]), rnd.up(y_hi[i]), rnd)
+
+    grids = {i: z_grid(i) for i in range(1, d + 1)}
+
+    # Level 1.
+    levels: List[Dict[int, Dict[Tuple[int, int], Tuple[float, tuple]]]] = []
+    child = kids[0]
+    ct = tables[child]
+    level1: Dict[int, Dict[Tuple[int, int], Tuple[float, tuple]]] = {}
+    for z1 in grids[1]:
+        y1 = rnd.value(z1) * pb_uv if d == 1 else rnd.value(z1)
+        f_v1 = _clamp_key(rnd.down(y1), ct.f_keys)
+        f_pos = ct.f_pos[f_v1]
+        bucket = level1.setdefault(z1, {})
+        for ci, c_key in enumerate(ct.c_keys):
+            x1 = rnd.down(rnd.value(c_key) * pb[0])
+            for kappa1 in range(k + 1 - b):
+                val = ct.values[kappa1, ci, f_pos]
+                if val == NEG_INF:
+                    continue
+                state = (kappa1 + b, x1)
+                prev = bucket.get(state)
+                if prev is None or val > prev[0]:
+                    bucket[state] = (
+                        val,
+                        (kappa1, c_key, f_v1, None, None),
+                    )
+    levels.append(level1)
+
+    # Levels 2..d.
+    for i in range(2, d + 1):
+        child = kids[i - 1]
+        ct = tables[child]
+        level_i: Dict[int, Dict[Tuple[int, int], Tuple[float, tuple]]] = {}
+        prev_level = levels[-1]
+        for z_i in grids[i]:
+            y_i = rnd.value(z_i) * pb_uv if i == d else rnd.value(z_i)
+            bucket = level_i.setdefault(z_i, {})
+            for ci, c_key in enumerate(ct.c_keys):
+                c_val = rnd.value(c_key)
+                miss = 1.0 - c_val * pb[i - 1]
+                z_prev = _clamp_key(
+                    rnd.down(1.0 - (1.0 - y_i) * miss), grids[i - 1]
+                )
+                prev_bucket = prev_level.get(z_prev)
+                if not prev_bucket:
+                    continue
+                for (kappa_prev, x_prev), (val_prev, _choice) in prev_bucket.items():
+                    x_prev_val = rnd.value(x_prev)
+                    f_vi = _clamp_key(
+                        rnd.down(1.0 - (1.0 - x_prev_val) * (1.0 - y_i)),
+                        ct.f_keys,
+                    )
+                    f_pos = ct.f_pos[f_vi]
+                    x_i = rnd.down(1.0 - (1.0 - x_prev_val) * miss)
+                    for kappa_i in range(k + 1 - kappa_prev):
+                        val = ct.values[kappa_i, ci, f_pos]
+                        if val == NEG_INF:
+                            continue
+                        state = (kappa_prev + kappa_i, x_i)
+                        total = val_prev + val
+                        existing = bucket.get(state)
+                        if existing is None or total > existing[0]:
+                            bucket[state] = (
+                                total,
+                                (kappa_i, c_key, f_vi, (kappa_prev, x_prev), z_prev),
+                            )
+        levels.append(level_i)
+    return levels
+
+
+def _fill_internal_general(
+    tree: BidirectedTree,
+    v: int,
+    k: int,
+    table: _NodeTable,
+    tables: Dict[int, _NodeTable],
+    rnd: _Rounding,
+    ap0: np.ndarray,
+) -> None:
+    for b in (0, 1):
+        pb_uv = tree.pp_down[v] if b else tree.p_down[v]
+        levels = _general_levels(tree, v, k, tables, rnd, b, table.f_keys)
+        final = levels[-1]
+        for fi, f_key in enumerate(table.f_keys):
+            fval = rnd.value(f_key)
+            parent_miss = 1.0 - fval * pb_uv
+            bucket = final.get(f_key, {})
+            for (kappa, x_d), (val, _choice) in bucket.items():
+                c_key = _clamp_key(x_d, table.c_keys)
+                c_pos = table.c_pos[c_key]
+                boost_term = max(
+                    1.0 - (1.0 - rnd.value(c_key)) * parent_miss - float(ap0[v]),
+                    0.0,
+                )
+                total = val + boost_term
+                if total > table.values[kappa, c_pos, fi]:
+                    table.values[kappa, c_pos, fi] = total
+
+
+def _backtrack_general(
+    tree: BidirectedTree,
+    v: int,
+    kappa: int,
+    c_key: int,
+    f_key: int,
+    tables: Dict[int, _NodeTable],
+    rnd: _Rounding,
+    ap0: np.ndarray,
+    k: int,
+    boost: set,
+    target: float,
+) -> bool:
+    """Recover the choice achieving ``target`` at a general fan-out node."""
+    table = tables[v]
+    kids = tree.children[v]
+    for b in (0, 1):
+        if b > kappa:
+            continue
+        pb_uv = tree.pp_down[v] if b else tree.p_down[v]
+        parent_miss = 1.0 - rnd.value(f_key) * pb_uv
+        levels = _general_levels(tree, v, k, tables, rnd, b, table.f_keys)
+        bucket = levels[-1].get(f_key, {})
+        for (kap, x_d), (val, _choice) in bucket.items():
+            if kap != kappa or _clamp_key(x_d, table.c_keys) != c_key:
+                continue
+            boost_term = max(
+                1.0 - (1.0 - rnd.value(c_key)) * parent_miss - float(ap0[v]), 0.0
+            )
+            if abs(val + boost_term - target) > 1e-9:
+                continue
+            # Walk the levels back, recursing into each child.
+            if b:
+                boost.add(v)
+            state = (kap, x_d)
+            z = f_key
+            for i in range(len(kids), 0, -1):
+                entry = levels[i - 1][z][state]
+                _val, (kappa_i, c_key_i, f_key_vi, prev_state, z_prev) = entry
+                _backtrack(
+                    tree,
+                    kids[i - 1],
+                    kappa_i,
+                    c_key_i,
+                    f_key_vi,
+                    tables,
+                    rnd,
+                    ap0,
+                    k,
+                    boost,
+                )
+                if prev_state is None:
+                    break
+                state = prev_state
+                z = z_prev
+            return True
+    return False
+
+
+# ----------------------------------------------------------------------
+# Backtracking
+# ----------------------------------------------------------------------
+def _backtrack(
+    tree: BidirectedTree,
+    v: int,
+    kappa: int,
+    c_key: int,
+    f_key: int,
+    tables: Dict[int, _NodeTable],
+    rnd: _Rounding,
+    ap0: np.ndarray,
+    k: int,
+    boost: set,
+) -> None:
+    table = tables[v]
+    target = table.values[kappa, table.c_pos[c_key], table.f_pos[f_key]]
+    if target == NEG_INF:
+        return
+    kids = tree.children[v]
+    fval = rnd.value(f_key)
+
+    if not kids:
+        cval = 1.0 if v in tree.seeds else 0.0
+        if kappa > 0:
+            v0 = _leaf_value(tree, v, 0, cval, fval, ap0)
+            v1 = _leaf_value(tree, v, 1, cval, fval, ap0)
+            if v1 > v0 + 1e-12:
+                boost.add(v)
+        return
+
+    if v in tree.seeds:
+        best = [_child_best_for_seed_parent(tables[c], rnd, k) for c in kids]
+        best_sum = NEG_INF
+        best_split = None
+        # The fill step allowed unused budget, so consider all totals <= κ.
+        for total in range(kappa + 1):
+            for split in _budget_splits(total, len(kids)):
+                s = sum(best[i][split[i]] for i in range(len(kids)))
+                if s > best_sum:
+                    best_sum = s
+                    best_split = split
+        if best_split is None:
+            return
+        for i, child in enumerate(kids):
+            ct = tables[child]
+            fpos = ct.f_pos.get(rnd.one_idx)
+            if fpos is None:
+                continue
+            col = ct.values[best_split[i], :, fpos]
+            cpos = int(np.argmax(col))
+            if col[cpos] == NEG_INF:
+                continue
+            _backtrack(
+                tree, child, best_split[i], ct.c_keys[cpos], rnd.one_idx,
+                tables, rnd, ap0, k, boost,
+            )
+        return
+
+    if len(kids) >= 3:
+        _backtrack_general(
+            tree, v, kappa, c_key, f_key, tables, rnd, ap0, k, boost, target
+        )
+        return
+
+    # Non-seed internal node: re-enumerate combos to find one achieving target.
+    for b in (0, 1):
+        if b > kappa:
+            continue
+        p_down_v = tree.pp_down[v] if b else tree.p_down[v]
+        parent_miss = 1.0 - fval * p_down_v
+        if len(kids) == 1:
+            child = kids[0]
+            ct = tables[child]
+            pb1 = tree.pp_up[child] if b else tree.p_up[child]
+            f1 = rnd.down(1.0 - parent_miss)
+            f1 = min(max(f1, ct.f_keys[0]), ct.f_keys[-1])
+            f1p = ct.f_pos.get(f1)
+            if f1p is None:
+                continue
+            for ci, ckey in enumerate(ct.c_keys):
+                own = rnd.down(rnd.value(ckey) * pb1)
+                own = min(max(own, tables[v].c_keys[0]), tables[v].c_keys[-1])
+                if own != c_key:
+                    continue
+                child_val = ct.values[kappa - b, ci, f1p]
+                if child_val == NEG_INF:
+                    continue
+                bt = max(
+                    1.0 - (1.0 - rnd.value(own)) * parent_miss - float(ap0[v]), 0.0
+                )
+                if abs(child_val + bt - target) < 1e-9:
+                    if b:
+                        boost.add(v)
+                    _backtrack(
+                        tree, child, kappa - b, ckey, ct.f_keys[f1p],
+                        tables, rnd, ap0, k, boost,
+                    )
+                    return
+        else:
+            ch1, ch2 = kids
+            t1, t2 = tables[ch1], tables[ch2]
+            pb1 = tree.pp_up[ch1] if b else tree.p_up[ch1]
+            pb2 = tree.pp_up[ch2] if b else tree.p_up[ch2]
+            for i, ck1 in enumerate(t1.c_keys):
+                m1 = 1.0 - rnd.value(ck1) * pb1
+                f2 = rnd.down(1.0 - parent_miss * m1)
+                f2 = min(max(f2, t2.f_keys[0]), t2.f_keys[-1])
+                f2p = t2.f_pos.get(f2)
+                if f2p is None:
+                    continue
+                for j, ck2 in enumerate(t2.c_keys):
+                    m2 = 1.0 - rnd.value(ck2) * pb2
+                    own = rnd.down(1.0 - m1 * m2)
+                    own = min(max(own, tables[v].c_keys[0]), tables[v].c_keys[-1])
+                    if own != c_key:
+                        continue
+                    f1 = rnd.down(1.0 - parent_miss * m2)
+                    f1 = min(max(f1, t1.f_keys[0]), t1.f_keys[-1])
+                    f1p = t1.f_pos.get(f1)
+                    if f1p is None:
+                        continue
+                    bt = max(
+                        1.0 - (1.0 - rnd.value(own)) * parent_miss - float(ap0[v]),
+                        0.0,
+                    )
+                    for k1 in range(kappa - b + 1):
+                        k2 = kappa - b - k1
+                        val1 = t1.values[k1, i, f1p]
+                        val2 = t2.values[k2, j, f2p]
+                        if val1 == NEG_INF or val2 == NEG_INF:
+                            continue
+                        if abs(val1 + val2 + bt - target) < 1e-9:
+                            if b:
+                                boost.add(v)
+                            _backtrack(
+                                tree, ch1, k1, ck1, t1.f_keys[f1p],
+                                tables, rnd, ap0, k, boost,
+                            )
+                            _backtrack(
+                                tree, ch2, k2, ck2, t2.f_keys[f2p],
+                                tables, rnd, ap0, k, boost,
+                            )
+                            return
+
+
+def _budget_splits(total: int, parts: int):
+    """All ways to split ``total`` into ``parts`` non-negative integers."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _budget_splits(total - first, parts - 1):
+            yield (first,) + rest

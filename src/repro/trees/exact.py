@@ -15,8 +15,8 @@ bound.
 Vectorization contract: every pass iterates child *slots* sequentially
 (padded slots contribute the exact identities 1.0 / 0.0), so products and
 sums accumulate in the same order — and therefore to the same IEEE-754
-bits — as the scalar loops preserved in
-:func:`repro.trees.reference.legacy_compute_tree_state`.  Greedy-Boost
+bits — as the scalar loops preserved beside the tests in
+``oracles.trees.legacy_compute_tree_state``.  Greedy-Boost
 tie-breaks and the DP-Boost rounding parameter depend on these values
 bit-for-bit, so the equality is asserted in ``tests/test_dp_internals.py``
 rather than merely approximated.

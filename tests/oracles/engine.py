@@ -4,13 +4,15 @@ These are the edge-wise implementations that the vectorized
 :class:`~repro.engine.batch.SamplingEngine` replaced.  They are retained
 verbatim for two purposes only:
 
-* the seeded equivalence tests (``tests/test_engine.py``) assert that the
-  engine reproduces them bit-for-bit where the RNG stream or ``world_seed``
-  pins the randomness,
-* the micro-benchmark (``benchmarks/bench_engine.py``) measures the
-  engine's speedup against them.
+* the seeded equivalence tests (``tests/test_engine.py``,
+  ``tests/test_models.py``, ``tests/test_lanes.py``) assert that the
+  engine reproduces them bit-for-bit where the RNG stream or
+  ``world_seed`` pins the randomness,
+* the micro-benchmarks (``benchmarks/bench_engine.py``,
+  ``benchmarks/bench_models.py``, ``benchmarks/bench_select.py``) measure
+  the engine's speedup against them.
 
-Production code must not import this module.
+They live beside the tests, outside the ``repro`` package.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.digraph import DiGraph
-from .hashing import hash_draw
+from repro.graphs.digraph import DiGraph
+from repro.engine.hashing import hash_draw
 
 __all__ = [
     "reference_rr_set",
@@ -185,7 +187,7 @@ def reference_sample_prr_graph(
     world_seed: int | None = None,
 ):
     """Edge-wise PRR-graph sampling (pre-engine phase I and phase II)."""
-    from ..core.prr import ACTIVATED, HOPELESS, PRRGraph
+    from repro.core.prr import ACTIVATED, HOPELESS, PRRGraph
 
     r = int(rng.integers(graph.n)) if root is None else int(root)
     if r in seeds:
@@ -276,7 +278,7 @@ def _reference_compress(
     uncompressed_nodes: int,
 ):
     """Phase II compression, dict/set implementation (pre-engine)."""
-    from ..core.prr import ACTIVATED, BOOSTABLE, HOPELESS, PRRGraph
+    from repro.core.prr import ACTIVATED, BOOSTABLE, HOPELESS, PRRGraph
 
     forward_adj: Dict[int, List[Tuple[int, bool]]] = {}
     backward_adj: Dict[int, List[Tuple[int, bool]]] = {}
@@ -386,7 +388,7 @@ def reference_sample_critical_set(
     root: int | None = None,
 ) -> Tuple[str, FrozenSet[int], int]:
     """Edge-wise critical-set sampling (pre-engine implementation)."""
-    from ..core.prr import ACTIVATED, BOOSTABLE, HOPELESS
+    from repro.core.prr import ACTIVATED, BOOSTABLE, HOPELESS
 
     r = int(rng.integers(graph.n)) if root is None else int(root)
     if r in seeds:

@@ -35,6 +35,8 @@ from repro.core.mc_greedy import mc_greedy_boost
 from repro.graphs import learned_like, preferential_attachment
 from repro.im import imm, ssa
 
+from oracles.selection import legacy_prr_boost
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -114,7 +116,8 @@ class TestRegistry:
 
 
 class TestParity:
-    """Session queries == legacy wrappers, bit for bit, under fixed seeds."""
+    """Session queries == free-function wrappers, bit for bit, under
+    fixed seeds."""
 
     def test_prr_boost(self, graph):
         legacy = prr_boost(graph, {0, 1}, 5, np.random.default_rng(3),
@@ -170,17 +173,19 @@ class TestParity:
             )
         assert result.selected == legacy
 
-    def test_legacy_selection_knob(self, graph):
+    def test_session_boost_matches_oracle(self, graph):
+        """A session query equals the object-path oracle on the same
+        seed (same samples, same picks, same estimates)."""
         with Session(graph) as session:
             vec = session.run(
                 BoostQuery(seeds=(0, 1), k=5, budget=BUDGET, rng_seed=7)
             )
-            leg = session.run(
-                BoostQuery(seeds=(0, 1), k=5, budget=BUDGET, rng_seed=7,
-                           params={"selection": "legacy"})
-            )
-        assert vec.selected == leg.selected
-        assert vec.estimates == leg.estimates
+        leg = legacy_prr_boost(graph, {0, 1}, 5, np.random.default_rng(7),
+                               max_samples=BUDGET.max_samples)
+        assert vec.selected == leg.boost_set
+        assert vec.estimates == {"boost": leg.estimated_boost,
+                                 "mu": leg.mu_estimate,
+                                 "delta": leg.delta_estimate}
 
 
 class TestWarmState:
@@ -370,7 +375,7 @@ class TestLifecycle:
         assert not parallel.runtime_is_alive(graph)
 
 class TestTreeQueries:
-    """TreeQuery routing: envelope, cache, admission, legacy dispatch."""
+    """TreeQuery routing: envelope, cache, admission, oracle parity."""
 
     @pytest.fixture(scope="class")
     def tree_graph(self):
@@ -432,20 +437,23 @@ class TestTreeQueries:
             )
         assert greedy.estimates["boost"] >= dp.estimates["boost"] * 0.95
 
-    def test_legacy_method_param(self, tree_graph):
+    def test_tree_dp_matches_oracle(self, tree_graph):
+        from oracles.trees import legacy_dp_boost
         from repro.api import TreeQuery
 
         graph, seeds = tree_graph
+        query = TreeQuery(seeds=seeds, k=3, rng_seed=2)
         with Session(graph) as session:
-            vec = session.run(TreeQuery(seeds=seeds, k=3, rng_seed=2))
-            legacy = session.run(
-                TreeQuery(seeds=seeds, k=3, rng_seed=2,
-                          params={"method": "legacy"})
+            vec = session.run(query)
+            legacy = legacy_dp_boost(
+                session.tree_for(query.seeds, query.root), 3,
+                epsilon=session.resolve_budget(query).epsilon,
             )
-        assert legacy.selected == vec.selected
-        assert legacy.estimates == vec.estimates
-        # different params -> different semantic identity
-        assert legacy.fingerprint != vec.fingerprint
+        assert vec.selected == legacy.boost_set
+        assert vec.estimates == {"boost": legacy.boost,
+                                 "dp_value": legacy.dp_value,
+                                 "delta": legacy.delta_param}
+        assert "method" not in vec.extra
 
     def test_admission_pricing(self, tree_graph):
         from repro.api import TreeQuery, estimate_cost

@@ -123,7 +123,7 @@ class TestVectorizedHelpersMatchLoops:
     ``reachability_weight`` (closed-form two-pass) and
     ``compute_tree_state`` (level-batched three-step computation) must be
     exactly equal to the O(n²) DFS / per-node loop versions pinned in
-    :mod:`repro.trees.reference` — they evaluate the same expression
+    ``tests/oracles/trees.py`` — they evaluate the same expression
     trees, just batched.
     """
 
@@ -140,8 +140,8 @@ class TestVectorizedHelpersMatchLoops:
         return BidirectedTree(b.build(), seeds)
 
     def test_reachability_weight_matches_legacy(self):
+        from oracles.trees import legacy_reachability_weight
         from repro.trees import reachability_weight
-        from repro.trees.reference import legacy_reachability_weight
 
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -151,7 +151,8 @@ class TestVectorizedHelpersMatchLoops:
             )
 
     def test_compute_tree_state_matches_legacy(self):
-        from repro.trees import compute_tree_state, legacy_compute_tree_state
+        from oracles.trees import legacy_compute_tree_state
+        from repro.trees import compute_tree_state
 
         rng = np.random.default_rng(43)
         for _ in range(10):

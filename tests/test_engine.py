@@ -1,7 +1,7 @@
 """Engine/legacy equivalence suite.
 
 The vectorized :class:`repro.engine.SamplingEngine` replaced the edge-wise
-pure-Python samplers (kept in :mod:`repro.engine.reference`).  These tests
+pure-Python samplers (kept in ``tests/oracles/engine.py``).  These tests
 pin the contract of that migration:
 
 * bit-for-bit where the randomness is pinned — RR sets and forward
@@ -26,7 +26,7 @@ from repro.core import (
 from repro.core.prr import _hash_draw
 from repro.diffusion import estimate_sigma, simulate_lt_spread, simulate_spread
 from repro.engine import SamplingEngine, hash_draw, hash_draw_array
-from repro.engine.reference import (
+from oracles.engine import (
     reference_rr_set,
     reference_sample_critical_set,
     reference_sample_prr_graph,

@@ -152,14 +152,14 @@ class TestVectorizedDPParity:
     """Property: the vectorized DP is *bit-identical* to the loop oracle.
 
     The vectorized fills evaluate elementwise the exact IEEE expression
-    sequences of :func:`repro.trees.reference.legacy_dp_boost`, so
+    sequences of the loop oracle ``oracles.trees.legacy_dp_boost``, so
     equality below is exact — boost-for-boost, table-entry counts, and
     (because maxima see the same candidate sets with deterministic
     tie-breaks) the chosen boost sets themselves.
     """
 
     def test_random_trees_match_legacy_exactly(self):
-        from repro.trees import legacy_dp_boost
+        from oracles.trees import legacy_dp_boost
 
         rng = np.random.default_rng(20170815)
         for trial in range(50):
@@ -175,18 +175,6 @@ class TestVectorizedDPParity:
                 assert vec.boost == ref.boost, ctx
                 assert vec.delta_param == ref.delta_param, ctx
                 assert vec.table_entries == ref.table_entries, ctx
-
-    def test_method_dispatch(self):
-        from repro.trees import legacy_dp_boost
-
-        rng = np.random.default_rng(5)
-        tree = _random_bidirected_tree(rng, 9)
-        via_param = dp_boost(tree, 2, epsilon=0.5, method="legacy")
-        direct = legacy_dp_boost(tree, 2, epsilon=0.5)
-        assert via_param.boost_set == direct.boost_set
-        assert via_param.dp_value == direct.dp_value
-        with pytest.raises(ValueError):
-            dp_boost(tree, 2, epsilon=0.5, method="nope")
 
 
 # ----------------------------------------------------------------------

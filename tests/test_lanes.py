@@ -37,7 +37,7 @@ from repro.engine import LANE_WIDTH, SamplingEngine
 from repro.engine.coverage import CoverageIndex
 from repro.engine.hashing import hash_draw, hash_draw_pairs
 from repro.engine.world import BLOCKED, BOOST, LIVE, EdgeStateArray, lane_states, lane_uniforms
-from repro.engine.reference import reference_sample_critical_set
+from oracles.engine import reference_sample_critical_set
 from repro.graphs import GraphBuilder, learned_like, preferential_attachment
 from repro.im import RRSampler
 

@@ -5,7 +5,7 @@ kernels of :mod:`repro.engine.lanes`:
 
 * **exact** — for every model (incoming-boost IC, outgoing-boost IC,
   boosted LT) the world-seeded engine cascade is bit-for-bit the
-  retained pure-Python loop oracle of :mod:`repro.engine.reference`, and
+  retained pure-Python loop oracle of ``tests/oracles/engine.py``, and
   a lane batch is bit-for-bit the solo hashed evaluation per lane;
   RNG-driven outgoing-boost cascades consume the oracle's stream
   draw-for-draw,
@@ -34,7 +34,7 @@ from repro.diffusion import (
 )
 from repro.engine import SamplingEngine, model_names, resolve_model
 from repro.engine.models import DEFAULT_MODEL
-from repro.engine.reference import (
+from oracles.engine import (
     reference_simulate_lt_spread_hashed,
     reference_simulate_spread,
     reference_simulate_spread_outgoing,

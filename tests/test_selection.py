@@ -1,25 +1,24 @@
-"""Seeded parity suite: vectorized selection vs the legacy object path.
+"""Seeded parity suite: vectorized selection vs the object-path oracle.
 
 The flat selection subsystem (``engine.coverage.CoverageIndex`` +
-``core.prr.PRRArena`` kernels) must reproduce the legacy implementations
-*exactly* — same chosen sets, same smallest-id tie-breaks, same coverage
-counts and estimates — because PRR-Boost's output is defined by those
-semantics.  Every test here pins vectorized against legacy on seeded
-inputs, including adversarial tie-break and supermodular-stall cases.
+``core.prr.PRRArena`` kernels) must reproduce the loop oracles of
+``tests/oracles/selection.py`` *exactly* — same chosen sets, same
+smallest-id tie-breaks, same coverage counts and estimates — because
+PRR-Boost's output is defined by those semantics.  Every test here pins
+vectorized against the oracle on seeded inputs, including adversarial
+tie-break and supermodular-stall cases.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    CollectionStats,
     PRRArena,
     collection_stats,
     estimate_delta,
     estimate_mu,
     greedy_delta_selection,
-    legacy_estimate_delta,
-    legacy_estimate_mu,
-    legacy_greedy_delta_selection,
     prr_boost,
     prr_boost_lb,
     sample_prr_arena,
@@ -27,7 +26,18 @@ from repro.core import (
 )
 from repro.engine.coverage import CoverageIndex
 from repro.graphs import GraphBuilder, learned_like, preferential_attachment
-from repro.im import greedy_max_coverage, imm, legacy_greedy_max_coverage
+from repro.im import greedy_max_coverage, imm
+
+from oracles.selection import (
+    legacy_collection_stats,
+    legacy_estimate_delta,
+    legacy_estimate_mu,
+    legacy_greedy_delta_selection,
+    legacy_greedy_max_coverage,
+    legacy_imm,
+    legacy_prr_boost,
+    legacy_prr_boost_lb,
+)
 
 GRAPH_SEEDS = [7, 11, 42]
 
@@ -162,12 +172,17 @@ class TestArenaParity:
         for g, objs, arena in collections:
             for _ in range(5):
                 boost = set(rng.choice(g.n, size=6, replace=False).tolist())
+                want_delta = legacy_estimate_delta(objs, g.n, boost)
+                want_mu = legacy_estimate_mu(objs, g.n, boost)
                 assert estimate_delta(arena, g.n, boost) == pytest.approx(
-                    legacy_estimate_delta(objs, g.n, boost), abs=1e-12
+                    want_delta, abs=1e-12
                 )
                 assert estimate_mu(arena, g.n, boost) == pytest.approx(
-                    legacy_estimate_mu(objs, g.n, boost), abs=1e-12
+                    want_mu, abs=1e-12
                 )
+                # Sequence input converts to an arena internally.
+                assert estimate_delta(objs, g.n, boost) == want_delta
+                assert estimate_mu(objs, g.n, boost) == want_mu
 
     def test_greedy_delta_matches_legacy(self, collections):
         for g, objs, arena in collections:
@@ -186,13 +201,16 @@ class TestArenaParity:
     def test_collection_stats_match(self, collections):
         for _g, objs, arena in collections:
             a = collection_stats(arena)
-            b = collection_stats(objs)
+            b = legacy_collection_stats(objs)
+            # Object sequences convert to an arena internally.
+            c = collection_stats(objs)
             for attr in (
                 "total", "activated", "hopeless", "boostable",
                 "uncompressed_edges", "compressed_edges", "critical_nodes",
                 "stored_bytes",
             ):
                 assert getattr(a, attr) == getattr(b, attr), attr
+                assert getattr(c, attr) == getattr(b, attr), attr
 
     def test_supermodular_stall_chain(self):
         """Frontier fallback: no single node activates any root, the chain
@@ -231,13 +249,11 @@ class TestEndToEndParity:
     @pytest.mark.parametrize("seed", GRAPH_SEEDS)
     def test_prr_boost_legacy_equals_vectorized(self, seed):
         g = random_graph(seed, n=100)
-        legacy = prr_boost(
+        legacy = legacy_prr_boost(
             g, {0, 1}, 5, np.random.default_rng(seed), max_samples=1000,
-            selection="legacy",
         )
         fast = prr_boost(
             g, {0, 1}, 5, np.random.default_rng(seed), max_samples=1000,
-            selection="vectorized",
         )
         assert legacy.boost_set == fast.boost_set
         assert legacy.mu_set == fast.mu_set
@@ -246,16 +262,16 @@ class TestEndToEndParity:
         assert legacy.delta_estimate == pytest.approx(fast.delta_estimate, abs=1e-9)
         assert legacy.estimated_boost == pytest.approx(fast.estimated_boost, abs=1e-9)
         assert legacy.num_samples == fast.num_samples
+        for attr in CollectionStats.__slots__:
+            assert getattr(legacy.stats, attr) == getattr(fast.stats, attr), attr
 
     def test_prr_boost_lb_legacy_equals_vectorized(self):
         g = random_graph(13, n=100)
-        legacy = prr_boost_lb(
+        legacy = legacy_prr_boost_lb(
             g, {0, 1}, 5, np.random.default_rng(13), max_samples=1000,
-            selection="legacy",
         )
         fast = prr_boost_lb(
             g, {0, 1}, 5, np.random.default_rng(13), max_samples=1000,
-            selection="vectorized",
         )
         assert legacy.boost_set == fast.boost_set
         assert legacy.estimated_boost == pytest.approx(
@@ -264,8 +280,7 @@ class TestEndToEndParity:
 
     def test_imm_legacy_equals_vectorized(self):
         g = random_graph(17, n=80, p=0.15)
-        legacy = imm(g, 4, np.random.default_rng(17), max_samples=2000,
-                     legacy_selection=True)
+        legacy = legacy_imm(g, 4, np.random.default_rng(17), max_samples=2000)
         fast = imm(g, 4, np.random.default_rng(17), max_samples=2000)
         assert legacy.chosen == fast.chosen
         assert legacy.coverage == fast.coverage
