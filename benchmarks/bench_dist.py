@@ -9,8 +9,11 @@ localhost, then answers the same workload per topology:
   (``workers=2``, the stream the distributed merge must reproduce),
 * **hosts=1/2/4** — ``Session(graph, hosts=...)`` sharding chunks over
   the worker subprocesses,
-* **kill** — 2 hosts, one SIGKILL'd mid-query: supervision re-assigns
-  its chunks and the envelope must not change.
+* **kill** — 2 hosts, one SIGKILL'd while it owns chunks of the
+  sampling draw (it is SIGSTOP'd first, so it takes chunks but cannot
+  answer them): supervision re-assigns its chunks, the arm asserts at
+  least one host loss and one re-assigned chunk, and neither the
+  sampling digest nor the envelope may change.
 
 Two measurements per topology: raw sampling throughput (a
 ``parallel_rr_csr`` draw, merged-array digest asserted identical) and
@@ -144,6 +147,23 @@ class WorkerFleet:
     def kill_one(self, index: int = -1) -> None:
         self.procs[index].send_signal(signal.SIGKILL)
 
+    def kill_when_owning_chunks(self, session, index: int = -1) -> threading.Thread:
+        """Freeze host ``index``, then SIGKILL it once the runtime has
+        assigned it chunks — a kill that always lands mid-draw."""
+        self.procs[index].send_signal(signal.SIGSTOP)
+
+        def owns_chunks() -> bool:
+            health = session.runtime_health()
+            return health is not None and health.slots[index]["outstanding"] > 0
+
+        def watch() -> None:
+            deadline = time.monotonic() + 60.0
+            while not owns_chunks() and time.monotonic() < deadline:
+                time.sleep(0.002)
+            self.kill_one(index)
+
+        return threading.Thread(target=watch, daemon=True)
+
     def shutdown(self) -> None:
         for proc in self.procs:
             if proc.poll() is None:
@@ -248,14 +268,14 @@ def arm_hosts(store: Path, cfg: dict, host_count: int,
     graph = open_graph(store)
     try:
         with Session(graph, hosts=fleet.addrs) as session:
-            row = time_sampling(graph, cfg["sampling_count"])
             killer = None
             if kill_mid_run:
-                killer = threading.Timer(0.2, fleet.kill_one)
+                killer = fleet.kill_when_owning_chunks(session)
                 killer.start()
-            row.update(run_workload(session, cfg))
+            row = time_sampling(graph, cfg["sampling_count"])
             if killer is not None:
                 killer.join()
+            row.update(run_workload(session, cfg))
             health = session.runtime_health()
             row["health"] = health.to_dict() if health else None
         return row
@@ -275,7 +295,7 @@ def measure(cfg: dict, workdir: Path) -> dict:
     for count in cfg["host_counts"]:
         row = arm_hosts(store, cfg, count)
         arms[f"hosts={count}"] = row
-        done = [h["chunks_done"] for h in row["health"]["hosts"]]
+        done = [s["chunks_done"] for s in row["health"]["slots"]]
         print(
             f"   hosts={count}: sampling {row['sampling_s']:.2f}s "
             f"({row['samples_per_s']:,}/s) | e2e {row['e2e_s']:.2f}s | "
@@ -296,6 +316,9 @@ def measure(cfg: dict, workdir: Path) -> dict:
     assert kill["sampling_digest"] == local["sampling_digest"]
     assert kill["envelope"] == local["envelope"], "post-kill envelope diverged"
     h = kill["health"]
+    # The kill must have hit a host that owned chunks, or the identity
+    # asserts above prove nothing about recovery.
+    assert h["restarts"] >= 1 and h["retries"] >= 1, h
     print(
         f"   kill arm: e2e {kill['e2e_s']:.2f}s | hosts alive "
         f"{h['workers_alive']}/{h['workers']} | losses {h['restarts']} | "

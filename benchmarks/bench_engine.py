@@ -3,9 +3,10 @@
 Measures RR-sets/sec, PRR-graphs/sec, critical-sets/sec and forward
 cascades/sec on a 10k-node / ~50k-edge synthetic graph, for both the
 vectorized :class:`repro.engine.SamplingEngine` batch API and the edge-wise
-pre-engine samplers kept in ``tests/oracles/engine.py``.  Results land in
-``BENCH_engine.json`` next to this script so later PRs can track the
-performance trajectory.
+pre-engine samplers kept in ``tests/oracles/engine.py``.  A full run
+writes ``BENCH_engine.json`` at the repo root so the performance
+trajectory stays tracked; ``--quick`` only prints, leaving the committed
+full-size baseline alone.
 
 Run with::
 
@@ -134,7 +135,8 @@ def bench_cascade(graph, engine, seeds, legacy_samples, engine_samples):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--quick", action="store_true", help="quarter-size run for smoke testing"
+        "--quick", action="store_true",
+        help="quarter-size run for smoke testing; skips the JSON write"
     )
     args = parser.parse_args()
     scale = 4 if args.quick else 1
@@ -164,8 +166,9 @@ def main() -> int:
             f"engine {batch_rate:9.1f}/s | {batch_rate / legacy_rate:5.1f}x"
         )
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    if not args.quick:
+        RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+        print(f"wrote {RESULT_PATH}")
     return 0
 
 

@@ -187,11 +187,12 @@ class Session:
     hosts:
         Optional worker-host endpoints (``"host:port,host:port"`` or a
         sequence) running ``repro dist-worker`` on replicas of this
-        graph.  The session connects a
-        :class:`~repro.dist.DistributedRuntime` eagerly (handshake
-        failures raise here, not mid-query) and binds it to the graph,
-        after which every chunked sampling dispatch shards across the
-        hosts; results stay bit-identical to the local paths.
+        graph.  The session connects a hosts
+        :class:`~repro.core.parallel.SharedGraphRuntime` eagerly
+        (handshake failures raise here, not mid-query), bound to the
+        graph until :meth:`close`; every sampling dispatch then takes the
+        chunked path and shards across the hosts, with results
+        bit-identical to the local chunked path.
     """
 
     def __init__(
@@ -235,13 +236,11 @@ class Session:
         self._graph_signature: Dict[str, float] = {}
         self._signature_version = -1
         self._signature()
-        self._dist = None
+        self._hosts_runtime = None
         if hosts:
-            from ..core.parallel import bind_distributed_runtime
-            from ..dist import DistributedRuntime
+            from ..core.parallel import get_runtime
 
-            self._dist = DistributedRuntime(graph, hosts)
-            bind_distributed_runtime(graph, self._dist)
+            self._hosts_runtime = get_runtime(graph, hosts=hosts)
 
     @classmethod
     def from_store(cls, path, mode: str = "mmap", **kwargs) -> "Session":
@@ -275,9 +274,10 @@ class Session:
         """Release session state (idempotent).
 
         Drops the recycled scratch, joins the overlap lane pool, and —
-        for runtime-managing sessions — shuts down the shared-memory
-        worker pool when it is bound to this session's graph, unlinking
-        the published graph segment and any in-flight result segments.
+        for runtime-managing and ``hosts=`` sessions — shuts down the
+        runtime serving this session's graph: worker processes, the
+        published graph segment and in-flight result segments, or the
+        host connections.
         The engine stays cached on the graph (it is plain process-local
         memory shared by design).
         """
@@ -292,13 +292,7 @@ class Session:
         self._candidates_cache.clear()
         self._tree_cache.clear()
         self._model_graphs.clear()
-        if self._dist is not None:
-            from ..core.parallel import unbind_distributed_runtime
-
-            unbind_distributed_runtime(self.graph)
-            self._dist.shutdown()
-            self._dist = None
-        if self._manage_runtime:
+        if self._manage_runtime or self._hosts_runtime is not None:
             from ..core.parallel import shutdown_runtime_for
 
             shutdown_runtime_for(self.graph)
@@ -515,8 +509,8 @@ class Session:
         ``None`` means no pool is live for this session's graph (serial
         configurations, fork-less platforms, pre-warm-up, post-close) —
         which callers should read as "healthy, trivially": there are no
-        workers to lose.  A ``hosts=`` session reports its distributed
-        runtime instead, with per-host counters.  See
+        workers to lose.  A ``hosts=`` session reports its hosts
+        runtime, one slot per host.  See
         :class:`~repro.core.parallel.RuntimeHealth`.
         """
         from ..core.parallel import runtime_health
@@ -527,14 +521,12 @@ class Session:
         """How many sampling workers a query's chunks spread across.
 
         The admission cost model divides sampling work by this: the
-        distributed runtime's summed remote capacity when hosts are
-        attached (and healthy), else the query budget's resolved local
-        worker count.  Always >= 1.
+        hosts runtime's summed remote capacity when hosts are attached
+        (and healthy), else the query budget's resolved local worker
+        count.  Always >= 1.
         """
-        if self._dist is not None and self._dist.active:
-            capacity = int(self._dist.capacity)
-            if capacity > 0:
-                return capacity
+        if self._hosts_runtime is not None and self._hosts_runtime.active:
+            return self._hosts_runtime.workers
         from ..core.parallel import resolve_sampler_workers
 
         budget = (
@@ -553,7 +545,7 @@ class Session:
         from ..core.parallel import resolve_sampler_workers
 
         workers = resolve_sampler_workers(self.resolve_budget(query).workers)
-        if self._dist is not None:
+        if self._hosts_runtime is not None:
             # A hosts= session always samples through the chunked path,
             # whose stream equals any local workers>1 run — key it as
             # such so persisted entries stay honest about which stream

@@ -45,7 +45,7 @@ from .estimator import (
     estimate_mu,
     greedy_delta_selection,
 )
-from .parallel import PARALLEL_MIN_SAMPLES, resolve_sampler_workers
+from .parallel import resolve_sampler_workers
 from .prr import PRRArena, sample_prr_lanes
 
 __all__ = [
@@ -102,12 +102,9 @@ class PRRSampler:
     def _draw(self, rng: np.random.Generator, count: int) -> int:
         """Grow the arena by ``count`` samples; returns the start index."""
         start = len(self.arena)
-        from .parallel import distributed_sampling_active
+        from .parallel import use_chunked_stream
 
-        # Distributed-bound graphs always take the chunked path (see
-        # RRSampler._draw_csr) so host counts cannot change the stream.
-        chunked = self.workers > 1 or distributed_sampling_active(self.graph)
-        if chunked and count >= PARALLEL_MIN_SAMPLES:
+        if use_chunked_stream(self.graph, self.workers, count):
             from .parallel import parallel_prr_payloads
 
             base = int(rng.integers(np.iinfo(np.int64).max))
@@ -170,10 +167,9 @@ class CriticalSetSampler:
     def _draw(self, rng: np.random.Generator, count: int):
         """``count`` samples as ``(status_codes, counts, values)`` CSR,
         with the diagnostics accumulated."""
-        from .parallel import distributed_sampling_active
+        from .parallel import use_chunked_stream
 
-        chunked = self.workers > 1 or distributed_sampling_active(self.graph)
-        if chunked and count >= PARALLEL_MIN_SAMPLES:
+        if use_chunked_stream(self.graph, self.workers, count):
             from .parallel import parallel_critical_csr
 
             base = int(rng.integers(np.iinfo(np.int64).max))

@@ -1,56 +1,57 @@
-"""Parallel sampling on a persistent zero-copy shared-memory runtime.
+"""Parallel sampling: one chunk scheduler over two transports.
 
 The paper parallelizes PRR-graph generation with OpenMP over eight
-threads.  The Python analogue here is a process-based runtime built for
-repeated use:
+threads.  Here sampling is cut into ``(chunk_id, master_seed)`` chunks
+and :class:`SharedGraphRuntime` schedules them, built for repeated use:
 
-* **Zero-copy graph publication** — the graph's CSR arrays and edge
-  probabilities are written once into a single
-  :mod:`multiprocessing.shared_memory` segment
-  (:class:`SharedGraphRuntime`); workers attach by name and build their
+* **Two transports, one scheduler** — the *fork* transport runs a
+  persistent pool of forked workers on this machine; the *TCP*
+  transport (:mod:`repro.dist`) drives ``repro dist-worker`` hosts
+  serving replicas of the graph.  Tags, windows, retries, degradation
+  and health are the scheduler's, identical for both.
+* **Zero-copy graph publication** (fork) — the graph's CSR arrays and
+  edge probabilities are written once into a single
+  :mod:`multiprocessing.shared_memory` segment (or, for a pristine
+  store-backed graph, workers mmap the store file); workers build their
   :class:`~repro.engine.SamplingEngine` over read-only views, so neither
   pool startup nor any task pays a per-worker graph pickle.
-* **Persistent pull-scheduled workers** — one pool per graph survives
-  across calls (IMM doubling rounds, repeated ``prr_boost`` runs, …).
-  Tasks are small sample chunks on one shared queue; an idle worker
-  steals the next chunk the moment it finishes, so cheap chunks
-  (activated/hopeless roots) never leave a worker idling behind a static
-  partition.
+* **Per-slot windows** — every slot (a forked worker or a host) holds
+  at most a small window of chunks in flight, refilled least-loaded
+  first as results stream back, so cheap chunks (activated/hopeless
+  roots) never leave a slot idling behind a static partition — and the
+  owner of every chunk is known the moment it is sent.
 * **Tag-multiplexed submissions** — every dispatch gets a runtime-unique
-  tag and a collector thread demultiplexes results per tag
+  tag and the collector thread files results per tag
   (:meth:`SharedGraphRuntime.submit` / :meth:`~SharedGraphRuntime.gather`),
   so concurrent callers — the serving tier's overlapped ``run_many``
-  lanes — pipeline independent queries' sampling chunks onto one pool
+  lanes — pipeline independent queries' chunks onto the same slots
   instead of taking turns.
-* **Raw-buffer results** — workers sample with the lane kernels and ship
-  flat arrays back (:class:`~repro.core.prr.PRRArena` payloads, critical
-  or RR CSRs).  Large results travel through a per-result shared-memory
-  segment — bytes, not pickled object graphs; small ones ride the result
-  queue directly, which is cheaper than a segment round-trip.
+* **Raw-buffer results** — chunks come back as flat arrays
+  (:class:`~repro.core.prr.PRRArena` payloads, critical or RR CSRs).
+  Large fork results travel through a per-result shared-memory segment,
+  small ones ride the result queue; hosts send raw array frames.
 
 Determinism: chunking is a pure function of ``count`` and each chunk's
 RNG seed is spawned from its chunk id, so a collection depends only on
-``(count, master_seed)`` — not on worker count, scheduling, or whether
-the serial fallback ran.  The serial fallback (``workers <= 1``, or a
-platform without ``fork``) iterates the same chunks in-process without
-touching any pool machinery.
+``(count, master_seed)`` — not on worker or host count, scheduling, or
+whether the serial fallback ran.  The serial fallback (``workers <= 1``
+without a hosts runtime, or a platform without ``fork``) iterates the
+same chunks in-process without touching any runtime.
 
-Fault tolerance: the same determinism contract is what makes the
-runtime *supervised* rather than merely fail-fast.  Workers announce
-each chunk they pull (a claim message ahead of the result), so the
-collector knows chunk ownership; a liveness sweep detects dead workers,
-re-enqueues their unacknowledged chunks with bounded retries and
-exponential backoff (re-executing a chunk is bit-identical — it is a
-pure function of its id and seed), and respawns replacements against
-the already-published shared graph.  After too many consecutive worker
-deaths the runtime **degrades** instead of raising: remaining chunks run
-serially in-process inside :meth:`SharedGraphRuntime.gather`, and later
-dispatches bypass the pool entirely — same results, no recovery storm.
-:meth:`SharedGraphRuntime.health` snapshots the supervision counters
+Fault tolerance: the same contract makes the runtime *supervised*
+rather than merely fail-fast.  A lost slot's outstanding chunks are
+re-queued with bounded retries and exponential backoff (re-executing a
+chunk is bit-identical); forked workers are respawned against the
+already-published graph, hosts are not.  After too many consecutive
+deaths of one slot, or with no slot left, the runtime **degrades**
+instead of raising: gatherers finish their chunks serially in-process
+and later dispatches bypass it — same results, no recovery storm.
+:meth:`SharedGraphRuntime.health` snapshots the counters
 (:class:`RuntimeHealth`), and a process-wide shared-memory registry with
 an ``atexit``/SIGTERM reaper (:func:`reap_shm_segments`) unlinks
-orphaned ``repro-*`` segments even on abnormal exit.  Every recovery
-path is deterministically drivable via :mod:`repro.testing.faults`.
+orphaned ``repro-*`` segments even on abnormal exit.  Every fork
+recovery path is deterministically drivable via
+:mod:`repro.testing.faults`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -83,11 +85,8 @@ __all__ = [
     "SharedGraphRuntime",
     "RuntimeHealth",
     "runtime_health",
-    "bind_distributed_runtime",
-    "unbind_distributed_runtime",
-    "distributed_runtime_for",
-    "distributed_sampling_active",
-    "run_chunks_local",
+    "run_chunks",
+    "use_chunked_stream",
     "get_runtime",
     "shutdown_runtime",
     "shutdown_runtime_for",
@@ -113,18 +112,19 @@ _SHM_RESULT_MIN = 1 << 18
 # queue round-trip costs more than two lane batches.
 PARALLEL_MIN_SAMPLES = 512
 
-# Supervision defaults.  A lost chunk is re-enqueued at most
+# Supervision defaults.  A lost chunk is re-queued at most
 # MAX_TASK_RETRIES times (exponential backoff from RETRY_BACKOFF_BASE
-# seconds); after MAX_CONSECUTIVE_DEATHS worker deaths with no
+# seconds); after MAX_CONSECUTIVE_DEATHS losses of one slot with no
 # successful result in between, the runtime degrades to the in-process
 # serial path instead of respawning further.
 MAX_TASK_RETRIES = 3
 RETRY_BACKOFF_BASE = 0.05
 MAX_CONSECUTIVE_DEATHS = 3
 
-# How often the collector sweeps worker liveness / due retries when no
-# results are arriving.  Bounds fault-detection latency, not result
-# latency — gatherers are woken per arriving result.
+# How often the collector checks worker liveness, due retries and
+# straggler timeouts when no results are arriving.  Bounds
+# fault-detection latency, not result latency — gatherers are woken per
+# arriving result.
 _POLL_INTERVAL = 0.2
 
 def fork_available() -> bool:
@@ -434,7 +434,7 @@ def _run_task(graph, kind: str, seed: int, size: int, params) -> List[np.ndarray
 
 
 def _worker_main(
-    source, n, m, task_queue, result_queue, worker_id, generation
+    source, n, m, task_queue, result_queue, slot, generation
 ) -> None:
     plan = faults.plan_from_env()  # inherited at fork; None in production
     if source[0] == "store":
@@ -456,24 +456,17 @@ def _worker_main(
             break
         task_id, kind, seed, size, params = task
         chunk_index += 1
-        # Claim before computing: the collector learns chunk ownership,
-        # so a death (or a vanished result) is attributable to exactly
-        # one chunk and that chunk can be re-enqueued.
-        result_queue.put(("claim", worker_id, task_id))
         action = (
-            plan.action_for(worker_id, generation, chunk_index)
+            plan.action_for(slot, generation, chunk_index)
             if plan is not None
             else faults.NO_ACTION
         )
         if action.delay_s:
             time.sleep(action.delay_s)
         if action.kill:
-            # Simulated hard crash mid-chunk (no result, no cleanup).  The
-            # queue is closed first so the feeder thread drains the claim
-            # to the master — modelling a worker that died *during* the
-            # computation, after ownership was observable.  (A death in
-            # the sub-millisecond window before the claim flushes is the
-            # known-unattributable race documented on the runtime.)
+            # Simulated hard crash mid-chunk (no result, no cleanup).
+            # Results already shipped are flushed first, so exactly this
+            # slot's unanswered chunks are lost.
             result_queue.close()
             result_queue.join_thread()
             os._exit(17)
@@ -481,9 +474,9 @@ def _worker_main(
             continue  # simulated lost result message
         try:
             msg = _ship_result(_run_task(view, kind, seed, size, params))
-            result_queue.put(("res", worker_id, task_id, True, msg))
+            result_queue.put((slot, task_id, True, msg))
         except Exception as exc:  # surface, don't hang the master
-            result_queue.put(("res", worker_id, task_id, False, repr(exc)))
+            result_queue.put((slot, task_id, False, repr(exc)))
     # Flush pending queue feeds, then exit without interpreter teardown:
     # the engine holds views into the shared segment, and unwinding them
     # through GC trips BufferError in SharedMemory.__del__.
@@ -496,16 +489,17 @@ def _worker_main(
 class RuntimeHealth:
     """A point-in-time snapshot of the runtime's supervision state.
 
-    ``workers`` is the configured pool size, ``workers_alive`` how many
-    processes currently pass ``is_alive``; ``restarts`` counts worker
-    respawns, ``retries`` chunk re-enqueues, and ``degraded`` whether the
-    runtime has given up on the pool and fallen back to the in-process
-    serial path (results stay bit-identical — only throughput changes).
-
-    For the distributed runtime the same fields are reinterpreted at
-    host granularity — ``workers`` is the summed remote capacity,
-    ``restarts`` counts host losses, ``retries`` chunk re-assignments —
-    and ``hosts`` carries one counter dict per configured worker host.
+    ``workers`` is the runtime's capacity (its forked workers, or the
+    summed worker counts its hosts reported at handshake) and
+    ``workers_alive`` the part of it on live slots.  ``restarts`` counts
+    lost slots — a forked worker that died (respawned unless the runtime
+    degrades) or a host whose connection dropped — and ``retries`` chunk
+    re-queues.  ``degraded`` says the runtime gave up on its slots:
+    gatherers finish their chunks serially in-process and later
+    dispatches bypass it (results stay bit-identical — only throughput
+    changes).  ``slots`` carries one counter dict per slot: its label
+    (``worker-<i>`` or ``host:port``), liveness, capacity, and chunks
+    done, lost and outstanding.
     """
 
     workers: int
@@ -513,146 +507,293 @@ class RuntimeHealth:
     restarts: int
     retries: int
     degraded: bool
-    hosts: Optional[Tuple[Dict[str, Any], ...]] = None
+    slots: Tuple[Dict[str, Any], ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "workers": int(self.workers),
             "workers_alive": int(self.workers_alive),
             "restarts": int(self.restarts),
             "retries": int(self.retries),
             "degraded": bool(self.degraded),
+            "slots": [dict(s) for s in self.slots],
         }
-        if self.hosts is not None:
-            out["hosts"] = [dict(h) for h in self.hosts]
-        return out
 
 
 # ----------------------------------------------------------------------
-# Runtime
+# Fork transport
 # ----------------------------------------------------------------------
+class _ForkTransport:
+    """Forked workers on one machine, one slot per process.
+
+    The graph is published once — by store path for pristine
+    store-backed graphs (workers mmap the file, sharing one page-cache
+    image), else copied into one shared-memory segment.  Each slot has
+    its own task queue and all share one result queue; results travel
+    as :func:`_ship_result` payloads.  A dead worker is reported as a
+    lost slot and can be respawned against the published graph.
+    """
+
+    respawnable = True
+
+    def __init__(self, graph, workers: int) -> None:
+        if not fork_available():
+            raise RuntimeError("SharedGraphRuntime requires the fork start method")
+        self.graph = graph
+        self._ctx = mp.get_context("fork")
+        store_path = _publishable_store_path(graph)
+        if store_path is not None:
+            self.shm = None
+            self._source: tuple = ("store", store_path)
+        else:
+            self.shm, table = _publish_arrays(_graph_arrays(graph))
+            self._source = ("shm", self.shm.name, table)
+        self.publication = self._source[0]
+        # (label, capacity, window): two chunks in flight per worker, so
+        # the next chunk is already queued when one finishes.
+        self.slots = [(f"worker-{i}", 1, 2) for i in range(workers)]
+        self._results = self._ctx.Queue()
+        self._tasks: List[Any] = [None] * workers
+        self.procs: List[Any] = [None] * workers
+        self._generation = [0] * workers
+        self._reported: set = set()
+        self._lost: List[tuple] = []
+        self._last_check = time.monotonic()
+        for slot in range(workers):
+            self._spawn(slot)
+
+    def _spawn(self, slot: int) -> None:
+        self._tasks[slot] = self._ctx.Queue()
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                self._source, self.graph.n, self.graph.m, self._tasks[slot],
+                self._results, slot, self._generation[slot],
+            ),
+            daemon=True,
+        )
+        proc.start()
+        self.procs[slot] = proc
+
+    def respawn(self, slot: int) -> None:
+        """Replace a dead worker; tasks queued for it die with it."""
+        old = self._tasks[slot]
+        old.close()
+        old.cancel_join_thread()
+        self._generation[slot] += 1
+        self._spawn(slot)
+        self._reported.discard(slot)
+
+    def send(self, slot: int, tasks: Sequence[tuple]) -> None:
+        queue = self._tasks[slot]
+        try:
+            for task in tasks:
+                queue.put(task)
+        except (ValueError, OSError):  # queue of a worker being replaced
+            pass  # its chunks were re-queued when the death was seen
+
+    def poll(self, timeout: float):
+        """The next event, or ``None`` after ``timeout`` seconds."""
+        now = time.monotonic()
+        if now - self._last_check >= _POLL_INTERVAL:
+            self._last_check = now
+            for slot, proc in enumerate(self.procs):
+                if slot not in self._reported and not proc.is_alive():
+                    self._reported.add(slot)
+                    self._lost.append(("lost", slot, f"worker {slot} died"))
+        if self._lost:
+            return self._lost.pop(0)
+        try:
+            slot, task_id, ok, payload = self._results.get(timeout=timeout)
+        except Exception:  # timeout, or a torn message from a dying worker
+            return None
+        if not ok:
+            return ("err", slot, task_id, payload)
+        try:
+            return ("res", slot, task_id, _receive_result(payload))
+        except Exception as exc:  # pragma: no cover - defensive
+            return ("err", slot, task_id, f"result unpack failed: {exc!r}")
+
+    def close(self, deadline: float) -> None:
+        """Stop every worker by ``deadline`` and release the graph.
+
+        Safe on a half-dead pool: a dead worker's sentinel is never
+        consumed and joining a dead process returns at once.
+        """
+        for queue in self._tasks:
+            try:
+                queue.put(None)
+            except Exception:  # pragma: no cover - broken queue
+                pass
+        # Drain results while workers wind down: a worker mid-put must
+        # not block on a full pipe, and every abandoned result's segment
+        # needs unlinking.
+        while time.monotonic() < deadline:
+            try:
+                msg = self._results.get(timeout=0.25)
+            except Exception:
+                if not any(p.is_alive() for p in self.procs):
+                    break
+                continue
+            try:
+                if msg[2]:
+                    _receive_result(msg[3])
+            except Exception:  # pragma: no cover - defensive
+                pass
+        for proc in self.procs:
+            proc.join(timeout=max(deadline - time.monotonic(), 0.1))
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join(timeout=0.5)
+                if proc.is_alive():
+                    proc.kill()
+        # cancel_join_thread: never block interpreter exit on unflushed
+        # queue buffers — every worker is gone by now.
+        for queue in [*self._tasks, self._results]:
+            queue.close()
+            queue.cancel_join_thread()
+        if self.shm is not None:  # store-published pools own no segment
+            try:
+                self.shm.close()
+                self.shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already unlinked
+                pass
+            _unregister_shm(self.shm.name)
+
+
+# ----------------------------------------------------------------------
+# Scheduler
+# ----------------------------------------------------------------------
+class _Slot:
+    """Scheduler state of one slot: a forked worker or a worker host."""
+
+    def __init__(self, index: int, label: str, workers: int, window: int):
+        self.index = index
+        self.label = label
+        self.workers = workers
+        self.window = window
+        self.alive = True
+        # task_id -> task in send order.  A slot answers in order, so the
+        # first entry is the chunk it works on; head_since is when that
+        # chunk became first (the straggler clock).
+        self.outstanding: Dict[tuple, tuple] = {}
+        self.head_since = 0.0
+        self.death_streak = 0
+        self.done = 0
+        self.lost = 0
+
+    def counters(self) -> Dict[str, Any]:
+        return {
+            "slot": self.label,
+            "alive": self.alive,
+            "workers": self.workers,
+            "chunks_done": self.done,
+            "chunks_lost": self.lost,
+            "outstanding": len(self.outstanding),
+        }
+
+
 class SharedGraphRuntime:
-    """A persistent worker pool bound to one graph's shared arrays.
+    """The chunk scheduler, over forked workers or remote worker hosts.
 
-    Construction publishes the graph once and forks ``workers``
-    long-lived processes.  Work is **tag-multiplexed**: every submission
-    (:meth:`submit`) gets a runtime-unique tag, its chunk tasks carry
-    ``(tag, chunk_id)`` ids on the one shared task queue, and a collector
-    thread demultiplexes the result queue back into per-tag stashes.
-    That is what lets several queries' sampling phases share the worker
-    pool *concurrently* — the serving tier's overlapped ``run_many``
-    submits every query's chunks up front (each from its own lane
-    thread) and each lane blocks only on :meth:`gather` of its own tag,
-    running its selection phase the moment its samples are complete
-    while other queries' chunks still occupy the workers.
+    Construction starts the transport: without ``hosts`` it publishes
+    the graph and forks ``workers`` long-lived processes (default: one
+    per core, at most eight); with ``hosts`` (``"h:p,h:p"`` or a
+    sequence) it connects to ``repro dist-worker`` hosts serving
+    replicas of the graph, and a mismatched replica fails here.
 
-    :meth:`run` is the one-shot form (submit + gather) used by the
-    per-collection entry points below; it is safe to call from multiple
-    threads at once.  Reused across calls via :func:`get_runtime`;
-    :meth:`shutdown` (or interpreter exit) releases processes and shared
-    memory.
+    Work is **tag-multiplexed**: every :meth:`submit` gets a fresh tag,
+    its chunks go to the least-loaded slot with a free window place,
+    and a collector thread files results into per-tag stashes.  That is
+    what lets several queries' sampling share the slots *concurrently* —
+    the serving tier's overlapped ``run_many`` submits every query's
+    chunks up front and each lane blocks only on :meth:`gather` of its
+    own tag.  :meth:`run` is the one-shot form (submit + gather).
 
-    Determinism is untouched by the multiplexing: chunking stays a pure
-    function of ``count`` and each chunk's RNG seed of its chunk id, so
-    a collection depends only on ``(count, master_seed)`` no matter how
-    many tags interleaved on the pool.
+    Supervision is one model for both transports: a lost slot's
+    outstanding chunks are re-queued (at most ``max_task_retries`` times
+    each, exponential backoff); forked workers are respawned, hosts are
+    not.  With ``task_timeout`` set, a slot's oldest chunk left
+    unanswered that long is re-queued too.  After
+    ``max_consecutive_deaths`` losses of one slot with no result in
+    between, or with no live slot left, the runtime **degrades**:
+    gatherers finish their chunks serially in-process and later
+    dispatches bypass it.
+
+    Determinism is untouched by any of this: chunking is a pure
+    function of ``count``, each chunk's RNG seed of its chunk id, and
+    gather restores submission order, so a collection depends only on
+    ``(count, master_seed)``.
     """
 
     def __init__(
         self,
         graph: DiGraph,
-        workers: int,
+        workers: Optional[int] = None,
+        hosts=None,
         max_task_retries: int = MAX_TASK_RETRIES,
         max_consecutive_deaths: int = MAX_CONSECUTIVE_DEATHS,
-        retry_backoff: float = RETRY_BACKOFF_BASE,
         task_timeout: Optional[float] = None,
     ) -> None:
-        if not fork_available():
-            raise RuntimeError("SharedGraphRuntime requires the fork start method")
         _install_sigterm_reaper()
         self.graph = graph
         self.graph_version = getattr(graph, "version", 0)
-        self.workers = int(workers)
+        self.hosts = hosts or None
         self.max_task_retries = int(max_task_retries)
         self.max_consecutive_deaths = int(max_consecutive_deaths)
-        self.retry_backoff = float(retry_backoff)
-        # Optional straggler bound: a *claimed* chunk with no result after
-        # this many seconds is re-enqueued (its late duplicate, if any, is
-        # deduplicated on arrival — chunks are deterministic).  Off by
-        # default: chunk cost is workload-dependent and a false positive
-        # doubles work.  Catches lost results from workers that stay
-        # alive, which the liveness sweep cannot see.
+        # Off by default: chunk cost is workload-dependent and a false
+        # positive doubles work.  Catches lost results from slots that
+        # stay alive, which loss detection cannot see.
         self.task_timeout = task_timeout
-        self._ctx = mp.get_context("fork")
-        # Publication: pristine store-backed graphs are published *by
-        # path* — workers mmap the store file themselves, so pool startup
-        # copies nothing and all workers share one page-cache image.
-        # Everything else is copied once into a shared-memory segment.
-        store_path = _publishable_store_path(graph)
-        if store_path is not None:
-            self._shm = None
-            self._source: tuple = ("store", store_path)
+        if self.hosts is not None:
+            from ..dist.transport import HostTransport
+
+            self.transport = HostTransport(graph, self.hosts)
         else:
-            self._shm, table = _publish_arrays(_graph_arrays(graph))
-            self._source = ("shm", self._shm.name, table)
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
+            self.transport = _ForkTransport(graph, _resolve_workers(workers))
+        self._slots = [
+            _Slot(i, *spec) for i, spec in enumerate(self.transport.slots)
+        ]
+        self.workers = sum(s.workers for s in self._slots)
         self._closed = False
         self._shutdown_lock = threading.Lock()
-        # Tag-multiplexing + supervision state, guarded by the condition's
-        # lock (spawn/respawn of processes happens outside it).
+        # Everything below is guarded by the condition's lock; transport
+        # sends and respawns happen outside it.
         self._cv = threading.Condition()
         self._next_tag = 0
-        self._pending: Dict[int, set] = {}      # tag -> outstanding cids
+        self._pending: Dict[int, set] = {}      # tag -> unanswered cids
         self._order: Dict[int, List[int]] = {}  # tag -> submission cid order
         self._stash: Dict[int, Dict[int, List[np.ndarray]]] = {}
-        # tag -> (kind, params, {cid: (seed, size)}): what re-enqueue and
-        # the degraded serial fallback need to re-execute a chunk.
+        # tag -> (kind, params, {cid: (seed, size)}): what a re-queue and
+        # the degraded serial path need to re-execute a chunk.
         self._specs: Dict[int, Tuple[str, tuple, Dict[int, Tuple[int, int]]]] = {}
-        self._inflight: Dict[int, Tuple[tuple, float]] = {}  # slot -> (task, t)
-        self._task_retries: Dict[tuple, int] = {}
-        self._deferred: List[tuple] = []  # heap of (due, seq, task_tuple)
+        self._queue: deque = deque()      # tasks waiting for a window place
+        self._deferred: List[tuple] = []  # heap of (due, seq, task)
         self._deferred_seq = itertools.count()
-        self._generation = [0] * self.workers
-        self._dead_handled: set = set()
+        self._task_retries: Dict[tuple, int] = {}
         self._restarts = 0
         self._retries_total = 0
-        # Per-slot run of deaths with no intervening result from that
-        # slot.  A one-time burst (every worker killed at once) is one
-        # death per slot and recovers; a slot whose respawns keep dying
-        # is the hopeless-environment signal that triggers degradation.
-        self._death_streak = [0] * self.workers
         self._degraded = False
         self._failure: Optional[str] = None
-        self._procs: List[mp.process.BaseProcess] = [None] * self.workers
-        for slot in range(self.workers):
-            self._spawn(slot)
         self._collector = threading.Thread(
             target=self._collect_loop, name="runtime-collector", daemon=True
         )
         self._collector.start()
-
-    def _spawn(self, slot: int) -> None:
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                self._source, self.graph.n, self.graph.m,
-                self._tasks, self._results, slot, self._generation[slot],
-            ),
-            daemon=True,
-        )
-        proc.start()
-        self._procs[slot] = proc
 
     @property
     def degraded(self) -> bool:
         return self._degraded
 
     @property
+    def active(self) -> bool:
+        """Whether dispatches should use this runtime (open, not degraded)."""
+        return not self._closed and not self._degraded
+
+    @property
     def publication(self) -> str:
-        """How workers attach to the graph: ``"store"`` (mmap by path)
-        or ``"shm"`` (copied into a shared-memory segment)."""
-        return self._source[0]
+        """How slots reach the graph: ``"store"`` (mmap by path),
+        ``"shm"`` (a shared-memory copy) or ``"hosts"`` (replicas)."""
+        return self.transport.publication
 
     # ------------------------------------------------------------------
     # Tagged submission API
@@ -660,10 +801,10 @@ class SharedGraphRuntime:
     def submit(
         self, kind: str, jobs: Sequence[Tuple[int, int, int]], params: tuple
     ) -> int:
-        """Enqueue ``jobs`` (``(chunk_id, seed, size)``) under a fresh tag.
+        """Queue ``jobs`` (``(chunk_id, seed, size)``) under a fresh tag.
 
-        Non-blocking: returns the tag immediately; workers start pulling
-        the chunks as soon as they go idle.  Thread-safe.
+        Non-blocking: returns the tag once the first chunks are sent.
+        Thread-safe.
         """
         with self._cv:
             if self._closed:
@@ -678,8 +819,10 @@ class SharedGraphRuntime:
             self._specs[tag] = (
                 kind, params, {cid: (seed, size) for cid, seed, size in jobs}
             )
-        for cid, seed, size in jobs:
-            self._tasks.put(((tag, cid), kind, seed, size, params))
+            self._queue.extend(
+                ((tag, cid), kind, seed, size, params) for cid, seed, size in jobs
+            )
+        self._dispatch()
         return tag
 
     def gather(self, tag: int) -> List[List[np.ndarray]]:
@@ -687,18 +830,13 @@ class SharedGraphRuntime:
         results in submission order.  Thread-safe; each tag may be
         gathered exactly once.
 
-        Wake-up is event-driven — the collector notifies on *every*
-        arriving result, so small batches complete with no polling
-        quantization (the wait timeout below is only a liveness backstop).
-
-        Recovery: lost chunks are re-enqueued transparently by the
-        collector; if the runtime **degrades** (too many consecutive
-        worker deaths) the gatherer claims its remaining chunks and runs
+        The collector notifies on every arriving result, so small
+        batches complete with no polling quantization.  If the runtime
+        **degrades**, the gatherer claims its remaining chunks and runs
         them serially in-process — bit-identical by the determinism
-        contract.  Only an unrecoverable failure (a chunk that *raises*
-        in a worker, or retries exhausted) tears the runtime down before
-        raising."""
-        failure = None
+        contract.  Only an unrecoverable failure (a chunk that raises on
+        a slot, or retries exhausted) shuts the runtime down and raises.
+        """
         while True:
             serial: List[Tuple[int, int, int]] = []
             with self._cv:
@@ -712,13 +850,13 @@ class SharedGraphRuntime:
                     del self._pending[tag]
                     order = self._order.pop(tag)
                     chunks = self._stash.pop(tag)
-                    self._specs.pop(tag, None)
+                    self._specs.pop(tag)
+                    for cid in order:
+                        self._task_retries.pop((tag, cid), None)
                     return [chunks[cid] for cid in order]
                 if self._degraded:
-                    # Claim every outstanding chunk of this tag for serial
-                    # in-process execution.  Removing them from the pending
-                    # set means a late worker duplicate is dropped on
-                    # arrival (it would be identical anyway).
+                    # Claim every outstanding chunk: a late duplicate from
+                    # a slot is dropped on arrival (it would be identical).
                     kind, params, chunkmap = self._specs[tag]
                     serial = [(cid, *chunkmap[cid]) for cid in sorted(pending)]
                     pending.clear()
@@ -739,13 +877,37 @@ class SharedGraphRuntime:
         return self.gather(self.submit(kind, jobs, params))
 
     # ------------------------------------------------------------------
-    # Collector + supervision
+    # Scheduling + supervision
     # ------------------------------------------------------------------
-    def _is_outstanding(self, task_id: tuple) -> bool:
-        """Whether a chunk is still owed a result (caller holds the cv)."""
-        tag, cid = task_id
-        pending = self._pending.get(tag)
-        return pending is not None and cid in pending
+    def _dispatch(self) -> None:
+        """Fill free window places from the queue, least-loaded slot
+        first; the sends happen outside the lock."""
+        sends: Dict[int, List[tuple]] = {}
+        with self._cv:
+            if self._closed or self._degraded or self._failure is not None:
+                return
+            now = time.monotonic()
+            while self._queue:
+                free = [
+                    s for s in self._slots
+                    if s.alive and len(s.outstanding) < s.window
+                ]
+                if not free:
+                    break
+                task = self._queue.popleft()
+                tag, cid = task[0]
+                if cid not in self._pending.get(tag, ()):
+                    continue  # answered meanwhile
+                slot = min(free, key=lambda s: len(s.outstanding) / s.workers)
+                if not slot.outstanding:
+                    slot.head_since = now
+                slot.outstanding[task[0]] = task
+                sends.setdefault(slot.index, []).append(task)
+        for index, tasks in sends.items():
+            try:
+                self.transport.send(index, tasks)
+            except Exception as exc:
+                self._slot_lost(index, f"send failed: {exc!r}")
 
     def _requeue(self, task_id: tuple, why: str) -> None:
         """Schedule a lost chunk for re-execution (caller holds the cv).
@@ -753,7 +915,8 @@ class SharedGraphRuntime:
         Bounded retries with exponential backoff; exhausting them is the
         one unrecoverable outcome and sets :attr:`_failure`.
         """
-        if not self._is_outstanding(task_id):
+        tag, cid = task_id
+        if cid not in self._pending.get(tag, ()):
             return
         retries = self._task_retries.get(task_id, 0) + 1
         if retries > self.max_task_retries:
@@ -765,161 +928,152 @@ class SharedGraphRuntime:
             return
         self._task_retries[task_id] = retries
         self._retries_total += 1
-        tag, cid = task_id
-        spec = self._specs.get(tag)
-        if spec is None:  # pragma: no cover - tag abandoned meanwhile
-            return
-        kind, params, chunkmap = spec
+        kind, params, chunkmap = self._specs[tag]
         seed, size = chunkmap[cid]
-        due = time.monotonic() + self.retry_backoff * (2 ** (retries - 1))
+        due = time.monotonic() + RETRY_BACKOFF_BASE * (2 ** (retries - 1))
         heapq.heappush(
             self._deferred,
             (due, next(self._deferred_seq), (task_id, kind, seed, size, params)),
         )
 
-    def _service_deferred(self) -> None:
-        """Move due re-enqueued chunks back onto the task queue."""
-        now = time.monotonic()
-        ready = []
+    def _slot_lost(self, index: int, why: str) -> None:
+        """Re-queue a lost slot's chunks; respawn it, or degrade.
+
+        Each loss extends the slot's death streak (reset by a result
+        from it, so a one-time burst recovers).  A streak of
+        :attr:`max_consecutive_deaths`, or no live slot left on a
+        transport that cannot respawn, degrades the runtime — which
+        bounds the recovery storm a crashing environment could cause.
+        """
         with self._cv:
-            while self._deferred and self._deferred[0][0] <= now:
-                _due, _seq, task = heapq.heappop(self._deferred)
-                ready.append(task)
-        for task in ready:
-            self._tasks.put(task)
+            slot = self._slots[index]
+            if self._closed or not slot.alive:
+                return
+            slot.alive = False
+            slot.death_streak += 1
+            self._restarts += 1
+            lost = list(slot.outstanding)
+            slot.outstanding.clear()
+            slot.lost += len(lost)
+            if self._degraded or self._failure is not None:
+                return
+            respawn = self.transport.respawnable
+            if slot.death_streak >= self.max_consecutive_deaths or (
+                not respawn and not any(s.alive for s in self._slots)
+            ):
+                self._degraded = True
+                self._queue.clear()
+                self._deferred.clear()
+                self._cv.notify_all()  # gatherers take over serially
+                return
+            for task_id in lost:
+                self._requeue(task_id, f"{slot.label}: {why}")
+        if respawn:
+            self.transport.respawn(index)  # outside the lock: slow
+            with self._cv:
+                slot.alive = True
 
     def _sweep(self) -> None:
-        """Detect dead workers; re-enqueue their chunks and respawn them.
-
-        Each death increments its slot's death streak (reset by a result
-        from that slot, so a one-time burst of deaths recovers); when a
-        slot's respawns have died :attr:`max_consecutive_deaths` times in
-        a row the runtime degrades — no further respawns, gatherers finish serially — which
-        bounds the recovery storm a persistently crashing environment
-        could otherwise cause.  With :attr:`task_timeout` set, claimed
-        chunks whose result never arrived (worker alive but wedged, or
-        the result message lost) are re-enqueued too.
-        """
-        respawn: List[int] = []
+        """Release due retries to the queue; with :attr:`task_timeout`,
+        re-queue every slot's first chunk unanswered for that long."""
         now = time.monotonic()
         with self._cv:
-            if self._closed or self._failure is not None:
+            if self._closed or self._degraded or self._failure is not None:
                 return
-            for slot, proc in enumerate(self._procs):
-                if proc.is_alive() or slot in self._dead_handled:
-                    continue
-                self._dead_handled.add(slot)
-                lost = self._inflight.pop(slot, None)
-                if lost is not None:
-                    self._requeue(lost[0], f"worker {slot} died")
-                self._death_streak[slot] += 1
-                if self._degraded:
-                    continue
-                if self._death_streak[slot] >= self.max_consecutive_deaths:
-                    self._degraded = True
-                    self._cv.notify_all()  # gatherers take over serially
-                    continue
-                self._generation[slot] += 1
-                self._restarts += 1
-                respawn.append(slot)
-            if self.task_timeout is not None:
-                for slot, (task_id, claimed_at) in list(self._inflight.items()):
-                    if now - claimed_at > self.task_timeout:
-                        del self._inflight[slot]
-                        self._requeue(task_id, f"no result within {self.task_timeout}s")
-        for slot in respawn:
-            self._spawn(slot)  # outside the lock: process start is slow
-            with self._cv:
-                self._dead_handled.discard(slot)
+            while self._deferred and self._deferred[0][0] <= now:
+                self._queue.appendleft(heapq.heappop(self._deferred)[2])
+            if self.task_timeout is None:
+                return
+            for slot in self._slots:
+                if (
+                    slot.alive and slot.outstanding
+                    and now - slot.head_since > self.task_timeout
+                ):
+                    task_id = next(iter(slot.outstanding))
+                    del slot.outstanding[task_id]
+                    slot.head_since = now
+                    self._requeue(
+                        task_id,
+                        f"no result from {slot.label} in {self.task_timeout}s",
+                    )
+
+    def _on_result(self, index: int, task_id: tuple, arrays) -> None:
+        with self._cv:
+            slot = self._slots[index]
+            if task_id in slot.outstanding:
+                if next(iter(slot.outstanding)) == task_id:
+                    slot.head_since = time.monotonic()
+                del slot.outstanding[task_id]
+            slot.death_streak = 0
+            tag, cid = task_id
+            pending = self._pending.get(tag)
+            if pending is not None and cid in pending:
+                pending.discard(cid)
+                self._stash[tag][cid] = arrays
+                slot.done += 1
+            # else: tag abandoned, or a late duplicate after a re-queue.
+            self._cv.notify_all()  # wake gatherers per result arrival
 
     def _collect_loop(self) -> None:
-        """Drain the result queue into the per-tag stashes (single reader).
+        """The single consumer of transport events, until shutdown.
 
-        Runs until shutdown.  Claim messages maintain per-worker chunk
-        ownership; result arrivals wake every gatherer promptly (no
-        polling floor on small batches).  Between messages — and at least
-        every :data:`_POLL_INTERVAL` seconds — the liveness sweep and the
-        retry queue run.  Sets :attr:`_failure` only for unrecoverable
-        outcomes (a chunk that raised in a worker, retries exhausted);
-        result payloads are copied out of (and their segments unlinked
-        from) shared memory here, so abandoned tags never leak segments.
+        Events are ``("res", slot, task_id, arrays)``, ``("err", slot,
+        task_id, detail)`` — a chunk raised, which fails the runtime:
+        re-running it elsewhere reproduces the error — and ``("lost",
+        slot, why)``.  Between events, and at least every
+        :data:`_POLL_INTERVAL` seconds, due retries and straggler
+        timeouts are serviced and free windows refilled.
         """
-        last_sweep = time.monotonic()
         while not self._closed:
-            self._service_deferred()
-            try:
-                msg = self._results.get(timeout=_POLL_INTERVAL)
-            except Exception:
-                msg = None
-            now = time.monotonic()
-            if msg is None or now - last_sweep >= _POLL_INTERVAL:
-                self._sweep()
-                last_sweep = now
-            if msg is None:
-                continue
-            if msg[0] == "claim":
-                _kind, wid, task_id = msg
-                with self._cv:
-                    prev = self._inflight.get(wid)
-                    self._inflight[wid] = (task_id, time.monotonic())
-                    if prev is not None and prev[0] != task_id:
-                        # The worker moved on without ever shipping the
-                        # previous chunk's result: treat it as lost.
-                        self._requeue(
-                            prev[0], f"worker {wid} superseded it unanswered"
-                        )
-                continue
-            _kind, wid, (tag, cid), ok, payload = msg
-            if not ok:
-                with self._cv:
-                    self._failure = f"worker task ({tag}, {cid}) failed: {payload}"
-                    self._cv.notify_all()
-                continue
-            try:
-                arrays = _receive_result(payload)
-            except Exception as exc:  # pragma: no cover - defensive
-                with self._cv:
-                    self._failure = f"result unpack failed: {exc!r}"
-                    self._cv.notify_all()
-                continue
+            timeout = _POLL_INTERVAL
             with self._cv:
-                held = self._inflight.get(wid)
-                if held is not None and held[0] == (tag, cid):
-                    del self._inflight[wid]
-                if 0 <= wid < len(self._death_streak):
-                    self._death_streak[wid] = 0
-                pending = self._pending.get(tag)
-                if pending is not None and cid in pending:
-                    self._stash[tag][cid] = arrays
-                    pending.discard(cid)
-                # else: tag abandoned or chunk already satisfied (late
-                # duplicate after a retry) — arrays dropped, segment
-                # already unlinked by _receive_result.
-                self._cv.notify_all()  # wake gatherers per result arrival
+                if self._deferred:
+                    due = self._deferred[0][0] - time.monotonic()
+                    timeout = min(timeout, max(due, 0.001))
+            try:
+                event = self.transport.poll(timeout)
+                if event is not None:
+                    self._handle(event)
+                self._sweep()
+                self._dispatch()
+            except Exception as exc:  # pragma: no cover - never hang gathers
+                with self._cv:
+                    self._failure = f"runtime collector failed: {exc!r}"
+                    self._cv.notify_all()
+                return
+
+    def _handle(self, event) -> None:
+        kind, index = event[0], event[1]
+        if kind == "res":
+            self._on_result(index, event[2], event[3])
+        elif kind == "lost":
+            self._slot_lost(index, event[2])
+        else:
+            with self._cv:
+                self._failure = (
+                    f"chunk {event[2]} failed on "
+                    f"{self._slots[index].label}: {event[3]}"
+                )
+                self._cv.notify_all()
 
     def health(self) -> RuntimeHealth:
         """A consistent snapshot of the supervision counters."""
         with self._cv:
             return RuntimeHealth(
                 workers=self.workers,
-                workers_alive=sum(
-                    p is not None and p.is_alive() for p in self._procs
-                ),
+                workers_alive=sum(s.workers for s in self._slots if s.alive),
                 restarts=self._restarts,
                 retries=self._retries_total,
                 degraded=self._degraded,
+                slots=tuple(s.counters() for s in self._slots),
             )
 
     def shutdown(self, timeout: float = 15.0) -> None:
-        """Tear the pool down (idempotent, concurrency-safe, bounded).
+        """Stop the transport (idempotent, concurrency-safe, bounded).
 
-        Total teardown wall-clock is capped by ``timeout``: the drain
-        phase and the per-worker joins share one deadline, and workers
-        still alive past it are terminated (then killed).  Safe against a
-        half-dead pool — sentinels go onto the task queue regardless of
-        which workers still live, a dead worker's sentinel is simply
-        never consumed, and joins on already-dead processes return
-        immediately.
+        Total teardown wall-clock is capped by ``timeout``; forked
+        workers still alive past it are terminated, host connections are
+        closed after a ``bye``.
         """
         with self._shutdown_lock:
             if self._closed:
@@ -930,183 +1084,119 @@ class SharedGraphRuntime:
             if self._failure is None:
                 self._failure = "runtime is shut down"
             self._cv.notify_all()
-        self._collector.join(timeout=min(5.0, max(deadline - time.monotonic(), 0.1)))
-        for _ in self._procs:
-            try:
-                self._tasks.put(None)
-            except Exception:  # pragma: no cover - broken queue
-                pass
-        # Drain in-flight results *while* workers wind down: a worker
-        # mid-put must not block forever against a full pipe, and every
-        # abandoned result's shared segment needs unlinking.  Bounded, and
-        # tolerant of truncated/claim messages from dying workers.
-        while time.monotonic() < deadline:
-            try:
-                msg = self._results.get(timeout=0.25)
-            except Exception:
-                if not any(p is not None and p.is_alive() for p in self._procs):
-                    break
-                continue
-            if msg and msg[0] == "res" and msg[3]:
-                try:
-                    _receive_result(msg[4])
-                except Exception:  # pragma: no cover - defensive
-                    pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=0.5)
-                if proc.is_alive():
-                    proc.kill()
-        # cancel_join_thread: never block interpreter exit on unflushed
-        # queue buffers — every worker is gone by now.
-        self._tasks.close()
-        self._tasks.cancel_join_thread()
-        self._results.close()
-        self._results.cancel_join_thread()
-        if self._shm is not None:  # store-published runtimes own no segment
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            _unregister_shm(self._shm.name)
+        if threading.current_thread() is not self._collector:
+            self._collector.join(
+                timeout=min(5.0, max(deadline - time.monotonic(), 0.1))
+            )
+        self.transport.close(deadline)
 
 
-_runtime: Optional[SharedGraphRuntime] = None
+# ----------------------------------------------------------------------
+# Runtime registry
+# ----------------------------------------------------------------------
+# id(graph) -> the runtime serving it.  At most one entry is a local
+# (fork) pool; hosts runtimes stay bound to their graph until
+# shutdown_runtime_for.  Entries hold their graph, so an id cannot be
+# reused while it is registered.
+_RUNTIMES: Dict[int, SharedGraphRuntime] = {}
 _RUNTIME_LOCK = threading.Lock()
 
 
-def get_runtime(graph: DiGraph, workers: int) -> SharedGraphRuntime:
-    """The cached runtime for ``graph`` (created/replaced on demand).
+def get_runtime(graph: DiGraph, workers: Optional[int] = None,
+                hosts=None) -> SharedGraphRuntime:
+    """The runtime serving ``graph`` (created or replaced on demand).
 
-    One runtime is kept alive at a time — repeated calls with the same
-    graph (at its current :attr:`~repro.graphs.DiGraph.version`) and a
-    compatible worker count reuse the warm pool, which is what makes
-    multi-round algorithms (IMM doubling, repeated boosts) pay pool
-    startup once per graph instead of once per call.  A version bump
-    (in-place probability update) retires the pool: its published
-    segment holds the pre-mutation arrays.  Thread-safe — overlap lanes
-    race here on first parallel dispatch.
+    With ``hosts``, connect a runtime to those worker hosts and bind it
+    to ``graph`` (replacing any runtime bound before) until
+    :func:`shutdown_runtime_for`; every chunked dispatch on the graph
+    then goes to it.  Otherwise return the graph's bound hosts runtime
+    if there is one, else the process's one local pool: reused while it
+    serves this graph at its current
+    :attr:`~repro.graphs.DiGraph.version` with at least ``workers``
+    workers — so multi-round algorithms (IMM doubling, repeated boosts)
+    pay pool startup once — and replaced otherwise.  A version bump
+    retires the pool: its published segment holds the old arrays.
+    Thread-safe — overlap lanes race here on first parallel dispatch.
     """
-    global _runtime
     with _RUNTIME_LOCK:
-        if (
-            _runtime is not None
-            and not _runtime._closed
-            and _runtime.graph is graph
-            and _runtime.graph_version == getattr(graph, "version", 0)
-            and _runtime.workers >= workers
+        current = _RUNTIMES.get(id(graph))
+        if hosts:
+            runtime = SharedGraphRuntime(graph, hosts=hosts)
+            if current is not None:
+                current.shutdown()
+            _RUNTIMES[id(graph)] = runtime
+            return runtime
+        if current is not None and (
+            current.hosts is not None
+            or (
+                not current._closed
+                and current.graph_version == getattr(graph, "version", 0)
+                and current.workers >= _resolve_workers(workers)
+            )
         ):
-            return _runtime
-        if _runtime is not None:
-            _runtime.shutdown()
-        _runtime = SharedGraphRuntime(graph, workers)
-        return _runtime
+            return current
+        for key, runtime in list(_RUNTIMES.items()):
+            if runtime.hosts is None:
+                del _RUNTIMES[key]
+                runtime.shutdown()
+        runtime = SharedGraphRuntime(graph, workers)
+        _RUNTIMES[id(graph)] = runtime
+        return runtime
+
+
+def _hosts_runtime_for(graph) -> Optional[SharedGraphRuntime]:
+    runtime = _RUNTIMES.get(id(graph))
+    return runtime if runtime is not None and runtime.hosts is not None else None
 
 
 def shutdown_runtime() -> None:
-    """Tear down the cached runtime (idempotent; also runs at exit)."""
-    global _runtime
-    if _runtime is not None:
-        _runtime.shutdown()
-        _runtime = None
+    """Tear down every registered runtime (idempotent; also runs at exit).
+
+    Lock-free on purpose: the SIGTERM reaper calls it from a handler.
+    """
+    runtimes = list(_RUNTIMES.values())
+    _RUNTIMES.clear()
+    for runtime in runtimes:
+        runtime.shutdown()
 
 
 def shutdown_runtime_for(graph) -> bool:
-    """Tear down the cached runtime iff it is bound to ``graph``.
+    """Tear down the runtime serving ``graph``, if any.
 
-    The hook :meth:`repro.api.Session.close` uses to release worker
-    processes and shared-memory segments it is responsible for without
-    disturbing a runtime some other graph's caller still owns.  Returns
-    whether a runtime was shut down.
+    The hook :meth:`repro.api.Session.close` uses to release the worker
+    processes, shared-memory segments or host connections it is
+    responsible for without disturbing another graph's runtime.
+    Returns whether a runtime was shut down.
     """
-    global _runtime
-    if _runtime is not None and _runtime.graph is graph:
-        shutdown_runtime()
-        return True
-    return False
+    with _RUNTIME_LOCK:
+        runtime = _RUNTIMES.pop(id(graph), None)
+    if runtime is None:
+        return False
+    runtime.shutdown()
+    return True
 
 
 def runtime_is_alive(graph) -> bool:
-    """Whether the cached runtime exists, is open, and serves ``graph``."""
-    return _runtime is not None and not _runtime._closed and _runtime.graph is graph
+    """Whether a runtime serving ``graph`` exists and is open."""
+    runtime = _RUNTIMES.get(id(graph))
+    return runtime is not None and not runtime._closed
 
 
 def runtime_health(graph=None) -> Optional[RuntimeHealth]:
-    """Supervision snapshot of the cached runtime, or ``None``.
-
-    ``None`` means no runtime is live (serial configurations, fork-less
-    platforms, post-shutdown) — or, when ``graph`` is given, that the
-    live runtime serves a different graph.  A graph with a bound
-    distributed runtime reports that runtime's host-granular health
-    instead (see :mod:`repro.dist`).  The session/serving tiers report
-    this through ``Session.stats()`` and ``/healthz``.
+    """Supervision snapshot of ``graph``'s runtime (default: the local
+    pool), or ``None`` when none is live — serial configurations,
+    fork-less platforms, post-shutdown.  The session/serving tiers
+    report this through ``Session.stats()`` and ``/healthz``.
     """
-    if graph is not None:
-        dist = distributed_runtime_for(graph)
-        if dist is not None:
-            return dist.health()
-    rt = _runtime
-    if rt is None or rt._closed:
+    if graph is None:
+        runtime = next(
+            (r for r in list(_RUNTIMES.values()) if r.hosts is None), None
+        )
+    else:
+        runtime = _RUNTIMES.get(id(graph))
+    if runtime is None or runtime._closed:
         return None
-    if graph is not None and rt.graph is not graph:
-        return None
-    return rt.health()
-
-
-# ----------------------------------------------------------------------
-# Distributed runtime binding
-# ----------------------------------------------------------------------
-# Graphs with a multi-host sampling runtime attached (repro.dist) are
-# registered here so the chunk executor below can route batch work to
-# the coordinator without this module ever importing repro.dist (dist
-# imports parallel for the chunking/payload contract — the dependency
-# only points one way).  The registry holds anything duck-typed like
-# DistributedRuntime: ``.run(kind, jobs, params)``, ``.active``,
-# ``.degraded`` and ``.health()``.
-_DIST_RUNTIMES: Dict[int, Any] = {}
-_DIST_LOCK = threading.Lock()
-
-
-def bind_distributed_runtime(graph, runtime) -> None:
-    """Route ``graph``'s chunked sampling through ``runtime``.
-
-    Subsequent multi-chunk dispatches (``parallel_rr_csr`` and friends)
-    go to the distributed coordinator instead of the local pool while
-    the binding holds.  One binding per graph; rebinding replaces."""
-    with _DIST_LOCK:
-        _DIST_RUNTIMES[id(graph)] = runtime
-
-
-def unbind_distributed_runtime(graph) -> bool:
-    """Drop ``graph``'s distributed binding (idempotent)."""
-    with _DIST_LOCK:
-        return _DIST_RUNTIMES.pop(id(graph), None) is not None
-
-
-def distributed_runtime_for(graph) -> Optional[Any]:
-    """The distributed runtime bound to ``graph``, if any (even a
-    degraded one — the sampler dispatch gate keys off the *binding* so a
-    session keeps drawing the chunked stream after degradation)."""
-    with _DIST_LOCK:
-        return _DIST_RUNTIMES.get(id(graph))
-
-
-def distributed_sampling_active(graph) -> bool:
-    """Whether samplers should take the chunked path for ``graph``
-    regardless of their local ``workers`` setting.
-
-    True whenever a distributed runtime is bound — including after it
-    degraded to the local fallback — so every query of a ``hosts=``
-    session draws the same chunk-seeded sample stream.  (Chunked results
-    are a pure function of ``(count, master_seed)``, so this stream is
-    identical to any local ``workers > 1`` run.)
-    """
-    return distributed_runtime_for(graph) is not None
+    return runtime.health()
 
 
 # LIFO atexit: the reaper is registered first so it runs *after* the
@@ -1116,41 +1206,33 @@ atexit.register(reap_shm_segments)
 atexit.register(shutdown_runtime)
 
 
-def _run_chunks(
+def use_chunked_stream(graph, workers: int, count: int) -> bool:
+    """Whether a sampler draw of ``count`` samples takes the chunked
+    stream: with local ``workers > 1``, and always on a graph bound to a
+    hosts runtime (even a degraded one), so host counts never change the
+    stream.  Chunked results are a pure function of ``(count,
+    master_seed)``, identical on every path that runs them."""
+    return count >= PARALLEL_MIN_SAMPLES and (
+        workers > 1 or _hosts_runtime_for(graph) is not None
+    )
+
+
+def run_chunks(
     graph: DiGraph,
     kind: str,
     jobs: Sequence[Tuple[int, int, int]],
     params: tuple,
     workers: int,
 ) -> List[List[np.ndarray]]:
-    """Run chunk jobs on the distributed runtime (when one is bound to
-    ``graph``), else the local shared runtime, else serially in-process —
-    same chunks, same seeds, same results on every path.  A **degraded**
-    runtime (supervision gave up on its hosts/pool) is bypassed the same
-    way: the next tier down is the graceful floor."""
-    dist = distributed_runtime_for(graph)
-    if dist is not None and len(jobs) > 1 and getattr(dist, "active", False):
-        return dist.run(kind, jobs, params)
-    return run_chunks_local(graph, kind, jobs, params, workers)
-
-
-def run_chunks_local(
-    graph: DiGraph,
-    kind: str,
-    jobs: Sequence[Tuple[int, int, int]],
-    params: tuple,
-    workers: int,
-) -> List[List[np.ndarray]]:
-    """Run chunk jobs on the local shared runtime, or serially in-process
-    when ``workers <= 1`` / no fork — never through a distributed
-    binding.  This is what ``repro dist-worker`` hosts (and the
-    coordinator's degraded fallback) call, so a worker process that
-    happens to share an interpreter with a coordinator can never bounce
-    its own chunks back over the wire."""
-    if workers > 1 and fork_available() and len(jobs) > 1:
-        rt = get_runtime(graph, workers)
-        if not rt.degraded:
-            return rt.run(kind, jobs, params)
+    """Run chunk jobs on ``graph``'s bound hosts runtime, else on the
+    local pool when ``workers > 1``, else serially in-process — same
+    chunks, same seeds, same results on every path.  A degraded or
+    shut-down runtime is bypassed the same way."""
+    runtime = _hosts_runtime_for(graph)
+    if runtime is None and workers > 1 and fork_available() and len(jobs) > 1:
+        runtime = get_runtime(graph, workers)
+    if runtime is not None and runtime.active and len(jobs) > 1:
+        return runtime.run(kind, jobs, params)
     return [
         _run_task(graph, kind, seed, size, params) for _cid, seed, size in jobs
     ]
@@ -1178,7 +1260,7 @@ def parallel_prr_collection(
     jobs = _chunk_jobs(count, master_seed)
     if not jobs:
         return PRRArena(graph.n)
-    parts = _run_chunks(
+    parts = run_chunks(
         graph, "prr", jobs, (tuple(seed_set), k), _resolve_workers(workers)
     )
     return PRRArena.from_payloads([(graph.n, *arrays) for arrays in parts])
@@ -1194,7 +1276,7 @@ def parallel_critical_sets(
     """Sample ``count`` critical sets (the PRR-Boost-LB payload) in parallel."""
     seed_set = frozenset(int(s) for s in seeds)
     jobs = _chunk_jobs(count, master_seed)
-    parts = _run_chunks(
+    parts = run_chunks(
         graph, "critical", jobs, (tuple(seed_set),), _resolve_workers(workers)
     )
     out: List[FrozenSet[int]] = []
@@ -1218,7 +1300,7 @@ def parallel_rr_csr(
     jobs = _chunk_jobs(count, master_seed)
     if not jobs:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    parts = _run_chunks(graph, "rr", jobs, (), _resolve_workers(workers))
+    parts = run_chunks(graph, "rr", jobs, (), _resolve_workers(workers))
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -1244,7 +1326,7 @@ def parallel_critical_csr(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-    parts = _run_chunks(
+    parts = run_chunks(
         graph, "critical", jobs, (tuple(seed_set),), _resolve_workers(workers)
     )
     return (
@@ -1267,7 +1349,7 @@ def parallel_prr_payloads(
     :meth:`repro.core.boost.PRRSampler.sample_into` merges incrementally."""
     seed_set = frozenset(int(s) for s in seeds)
     jobs = _chunk_jobs(count, master_seed)
-    parts = _run_chunks(
+    parts = run_chunks(
         graph, "prr", jobs, (tuple(seed_set), k), _resolve_workers(workers)
     )
     return [(graph.n, *arrays) for arrays in parts]

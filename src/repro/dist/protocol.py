@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import socket
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -59,6 +60,9 @@ PROTOCOL_VERSION = 1
 # stream (or not this protocol at all) and should fail fast rather than
 # allocate unbounded buffers.
 _MAX_HEADER = 1 << 20
+# The raw arrays of one frame (a chunk result is at most a few MB); a
+# table declaring more is corrupt and fails before any allocation.
+_MAX_PAYLOAD = 1 << 30
 
 _LEN = struct.Struct("<I")
 
@@ -112,13 +116,20 @@ def recv_msg(
         raise ProtocolError("connection closed mid-frame")
     try:
         header = json.loads(bytes(raw).decode("utf-8"))
-    except ValueError as exc:  # pragma: no cover - corrupt peer
+    except ValueError as exc:
         raise ProtocolError(f"undecodable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ProtocolError(f"header is a {type(header).__name__}, not an object")
+    table = header.get("arrays", [])
+    if not isinstance(table, list):
+        raise ProtocolError(f"malformed arrays table: {table!r:.80}")
+    specs = [_array_spec(entry) for entry in table]
+    total = sum(math.prod(shape) * dt.itemsize for dt, shape in specs)
+    if total > _MAX_PAYLOAD:
+        raise ProtocolError(f"declared payload of {total} bytes exceeds the cap")
     arrays: List[np.ndarray] = []
-    for dtype_str, shape in header.get("arrays", ()):
-        dt = np.dtype(dtype_str)
-        size = int(np.prod(shape, dtype=np.int64))
-        nbytes = size * dt.itemsize
+    for dt, shape in specs:
+        nbytes = math.prod(shape) * dt.itemsize
         if nbytes:
             payload = _recv_exact(sock, nbytes)
             if payload is None:
@@ -128,6 +139,24 @@ def recv_msg(
             arr = np.empty(shape, dtype=dt)
         arrays.append(arr)
     return header, arrays
+
+
+def _array_spec(entry) -> Tuple[np.dtype, Tuple[int, ...]]:
+    """Validate one ``[dtype_str, shape]`` entry of the arrays table."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ProtocolError(f"malformed arrays entry: {entry!r:.80}")
+    dtype_str, shape = entry
+    try:
+        dt = np.dtype(dtype_str)
+    except Exception as exc:  # numpy raises TypeError, ValueError, ...
+        raise ProtocolError(f"bad dtype {dtype_str!r:.40}") from exc
+    if dt.kind not in "biufc":  # plain numbers only: no objects, no records
+        raise ProtocolError(f"bad dtype {dtype_str!r:.40}")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise ProtocolError(f"bad shape {shape!r:.80}")
+    return dt, tuple(shape)
 
 
 def graph_fingerprint(graph) -> Dict[str, float]:

@@ -8,12 +8,13 @@ one coordinator connection at a time: handshake (fingerprint + store
 digest validation), then a stream of ``chunks`` assignments, each
 answered with one ``result`` frame per chunk.
 
-Chunks are executed through
-:func:`repro.core.parallel.run_chunks_local`, i.e. the host's own
-shared-memory :class:`~repro.core.parallel.SharedGraphRuntime` when it
-has cores to spare — so a cluster multiplies cores × hosts while every
-chunk remains the pure ``(chunk_id, seed)`` function the determinism
-contract needs.  The local pool stays warm across coordinator sessions.
+Chunks are executed through :func:`repro.core.parallel.run_chunks`,
+i.e. the host's own fork-transport
+:class:`~repro.core.parallel.SharedGraphRuntime` when it has cores to
+spare — so a cluster multiplies cores × hosts while every chunk remains
+the pure ``(chunk_id, seed)`` function the determinism contract needs.
+The local pool stays warm across coordinator sessions.  A malformed
+coordinator frame ends that session, not the server.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import threading
 from typing import Any, Dict, Optional
 
 from ..core.parallel import (
+    _hosts_runtime_for,
     _resolve_workers,
     fork_available,
-    run_chunks_local,
+    run_chunks,
 )
 from .protocol import (
     PROTOCOL_VERSION,
@@ -136,7 +138,7 @@ def _serve_connection(conn, graph, identity, workers: int, stats,
             for cid, seed, size in header["jobs"]
         ]
         try:
-            parts = run_chunks_local(graph, kind, jobs, params, workers)
+            parts = run_chunks(graph, kind, jobs, params, workers)
         except Exception as exc:  # deterministic failures fail fast
             send_msg(conn, {
                 "type": "chunk_error",
@@ -172,6 +174,10 @@ def serve_worker(
     socket listens — with ``port=0`` that is how callers learn the
     ephemeral port.
     """
+    if _hosts_runtime_for(graph) is not None:
+        # Its chunks would be sent straight back to the hosts, this one
+        # included: serve a separate replica instead.
+        raise ValueError("graph is bound to a hosts runtime in this process")
     workers = _resolve_local_workers(workers)
     store = publishable_store(graph)
     identity = {
@@ -204,9 +210,10 @@ def serve_worker(
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 _serve_connection(conn, graph, identity, workers, stats,
                                   stop=stop)
-            except (ProtocolError, OSError):
-                # A torn connection (coordinator died mid-stream) ends
-                # the session; the worker stays up for the next one.
+            except Exception:
+                # A torn connection (coordinator died mid-stream) or a
+                # malformed frame ends the session; the worker stays up
+                # for the next one.
                 stats["errors"] += 1
             finally:
                 conn.close()

@@ -73,17 +73,9 @@ class RRSampler:
         return self._engine.rr_set(rng)
 
     def _draw_csr(self, rng: np.random.Generator, count: int):
-        from ..core.parallel import (
-            PARALLEL_MIN_SAMPLES,
-            distributed_sampling_active,
-            parallel_rr_csr,
-        )
+        from ..core.parallel import parallel_rr_csr, use_chunked_stream
 
-        # A graph with a bound distributed runtime takes the chunked
-        # path regardless of local workers, so every host count draws
-        # the identical chunk-seeded stream.
-        chunked = self.workers > 1 or distributed_sampling_active(self.graph)
-        if chunked and count >= PARALLEL_MIN_SAMPLES:
+        if use_chunked_stream(self.graph, self.workers, count):
             base = int(rng.integers(np.iinfo(np.int64).max))
             return parallel_rr_csr(self.graph, count, base, self.workers)
         return self._engine.rr_lane_csr(rng, count)

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the shared-memory parallel runtime.
 
 The supervision layer in :mod:`repro.core.parallel` (worker respawn,
-chunk re-enqueue, degraded serial fallback) only earns its keep if every
+chunk re-queue, degraded serial fallback) only earns its keep if every
 recovery path can be driven *deterministically* in CI.  This module is
 the driver: a small set of fault hooks the worker main loop checks on
-every chunk it pulls.
+every chunk it takes.
 
 Faults are carried in **environment variables**, because runtime workers
 are forked — a fault plan set in the parent before the pool starts is
@@ -15,12 +15,12 @@ can be observed rather than re-killed).
 
 Three fault kinds, mirroring how real workers die:
 
-* **kill** — the worker ``os._exit(17)``\\ s right after claiming a chunk
+* **kill** — the worker ``os._exit(17)``\\ s right after taking a chunk
   (a hard crash mid-chunk: no result, no cleanup, shared segments left
-  behind).  Exercises the liveness sweep, respawn, and re-enqueue paths.
-* **drop** — the worker pulls a chunk but never ships its result and
+  behind).  Exercises loss detection, respawn, and re-queue paths.
+* **drop** — the worker takes a chunk but never ships its result and
   moves on (a lost IPC message / silently wedged computation).
-  Exercises claim-supersession and task-timeout re-enqueue.
+  Exercises the straggler-timeout re-queue (``task_timeout``).
 * **delay** — the worker sleeps before computing (a straggler).
   Exercises backoff and scheduling without any failure.
 
@@ -100,7 +100,7 @@ class FaultPlan:
 
     ``*_worker`` selects which worker slot misbehaves (``"any"`` for all
     of them); ``*_on_chunk`` is the 1-based ordinal of the chunk *that
-    worker* pulls (not a global chunk id — global assignment depends on
+    worker* takes (not a global chunk id — global assignment depends on
     scheduling, per-worker ordinals do not).  Kill faults fire only for
     generation-0 workers unless ``kill_all_generations`` is set, so a
     respawned worker survives by default and degradation (every respawn

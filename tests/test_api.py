@@ -312,8 +312,8 @@ class TestLifecycle:
         session = Session(graph)
         assert session.ensure_runtime(2)
         assert parallel.runtime_is_alive(graph)
-        runtime = parallel._runtime
-        segment_name = runtime._shm.name
+        runtime = parallel.get_runtime(graph, 2)
+        segment_name = runtime.transport.shm.name
         session.close()
         assert not parallel.runtime_is_alive(graph)
         assert runtime._closed

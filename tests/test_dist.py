@@ -1,32 +1,34 @@
-"""Tests for the distributed sampling runtime (:mod:`repro.dist`).
+"""Tests for the TCP transport of the chunk scheduler (:mod:`repro.dist`).
 
 The contracts under test:
 
 * **protocol** — frames round-trip raw arrays exactly; EOF between
-  frames is a clean ``None``,
+  frames is a clean ``None``; every malformed frame raises
+  :class:`ProtocolError`, on both ends of the wire,
 * **handshake** — a worker serving a different graph refuses the
   coordinator at connect time,
 * **determinism** — every merged payload is bit-identical to the local
   chunked path, for 1 and 2 hosts, after a mid-run host kill, and after
   full degradation to the local fallback,
 * **supervision** — host loss re-assigns chunks (bounded), health
-  reports per-host counters, all-hosts-lost degrades instead of failing,
+  reports per-host counters, all-hosts-lost degrades instead of failing
+  (the transport-independent cases run on both transports in
+  ``test_supervision.py``),
 * **session wiring** — ``Session(hosts=...)`` envelopes match a local
   ``workers>1`` session; admission prices the remote capacity.
 
-Worker hosts run as in-process threads (``serve_worker`` with an
-ephemeral port and a ``stop`` event) so the suite needs no subprocess
-spawning; the CLI entry point is exercised separately in
+Worker hosts run as in-process threads (``dist_hosts``) so the suite
+needs no subprocess spawning; the CLI entry point is exercised separately in
 ``test_cli.py``-style via ``bench_dist --smoke`` in CI.
 """
 
 import socket
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from dist_hosts import FakeHost, WorkerHost, fresh_graph
 from repro.api import (
     AdmissionPolicy,
     BoostQuery,
@@ -36,43 +38,15 @@ from repro.api import (
     estimate_cost,
 )
 from repro.core import parallel
-from repro.dist import DistributedRuntime, parse_hosts, serve_worker
-from repro.dist.protocol import ProtocolError, recv_msg, send_msg
-from repro.graphs import learned_like, preferential_attachment
-
-
-def fresh_graph(seed=17, n=150):
-    rng = np.random.default_rng(seed)
-    return learned_like(preferential_attachment(n, 3, rng), rng, 0.2)
-
-
-class WorkerHost:
-    """An in-process worker host with its own graph replica."""
-
-    def __init__(self, seed=17, workers=1):
-        self.graph = fresh_graph(seed=seed)
-        self.stop = threading.Event()
-        infos = []
-        self.thread = threading.Thread(
-            target=serve_worker,
-            args=(self.graph,),
-            kwargs=dict(port=0, workers=workers, ready=infos.append,
-                        stop=self.stop),
-            daemon=True,
-        )
-        self.thread.start()
-        deadline = time.time() + 10.0
-        while not infos and time.time() < deadline:
-            time.sleep(0.01)
-        assert infos, "worker never came up"
-        self.addr = f"127.0.0.1:{infos[0]['port']}"
-
-    def kill(self):
-        self.stop.set()
-
-    def join(self):
-        self.stop.set()
-        self.thread.join(timeout=5.0)
+from repro.core.parallel import SharedGraphRuntime, _chunk_jobs, _run_task
+from repro.dist import parse_hosts, serve_worker
+from repro.dist.protocol import (
+    _LEN,
+    PROTOCOL_VERSION,
+    ProtocolError,
+    recv_msg,
+    send_msg,
+)
 
 
 @pytest.fixture()
@@ -153,12 +127,94 @@ class TestProtocol:
             parse_hosts(["noport"])
 
 
+def _frame(header_bytes, payload=b""):
+    return _LEN.pack(len(header_bytes)) + header_bytes + payload
+
+
+class TestMalformedFrames:
+    """Every malformed frame is a :class:`ProtocolError` — never an
+    ``AttributeError`` from a reader thread that then dies silently."""
+
+    @pytest.mark.parametrize("header", [
+        b"[]",                                       # not an object
+        b'"text"',
+        b'{"type": "result", "arrays": {}}',         # table not a list
+        b'{"type": "result", "arrays": [["<i8"]]}',  # entry not a pair
+        b'{"type": "result", "arrays": [["<i8", [-1]]]}',
+        b'{"type": "result", "arrays": [["<i8", [2.5]]]}',
+        b'{"type": "result", "arrays": [["<i8", 3]]}',
+        b'{"type": "result", "arrays": [["zz", [1]]]}',
+        b'{"type": "result", "arrays": [["|O", [1]]]}',
+        b'{"type": "result", "arrays": [["<i8", [1099511627776]]]}',
+        b"\xff\xfe",                                # not UTF-8 JSON
+    ])
+    def test_raises_protocol_error(self, header):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(_frame(header))
+            with pytest.raises(ProtocolError):
+                recv_msg(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_garbage_from_host_is_a_lost_host(self, graph):
+        """A host that answers with a ``[]`` header is dropped; with no
+        host left the gatherer finishes serially, bit-identical."""
+        host = FakeHost("garbage")
+        jobs = _chunk_jobs(1024, 42)
+        want = [_run_task(graph, "rr", seed, size, ()) for _c, seed, size in jobs]
+        rt = SharedGraphRuntime(graph, hosts=[host.addr])
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(rt.run("rr", jobs, ())), daemon=True
+        )
+        try:
+            runner.start()
+            runner.join(timeout=30.0)
+            assert not runner.is_alive(), "run() hung on a malformed frame"
+            health = rt.health()
+        finally:
+            rt.shutdown()
+            host.join()
+        assert host.got_chunks.is_set()
+        assert health.restarts == 1 and health.degraded
+        assert health.slots[0]["alive"] is False
+        for got, ref in zip(out[0], want):
+            for g, w in zip(got, ref):
+                assert np.array_equal(g, w)
+
+    def test_worker_survives_malformed_coordinator_frame(self, graph):
+        host = WorkerHost()
+        try:
+            sock = socket.create_connection(
+                ("127.0.0.1", int(host.addr.rsplit(":", 1)[1]))
+            )
+            with sock:
+                send_msg(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                assert recv_msg(sock)[0]["type"] == "welcome"
+                sock.sendall(_frame(b"[]"))
+                assert recv_msg(sock) is None  # session over, cleanly
+            # ... and the next coordinator is served as usual.
+            rt = SharedGraphRuntime(graph, hosts=[host.addr])
+            try:
+                jobs = _chunk_jobs(512, 3)
+                got = rt.run("rr", jobs, ())
+            finally:
+                rt.shutdown()
+        finally:
+            host.join()
+        for arrays, (_cid, seed, size) in zip(got, jobs):
+            for g, w in zip(arrays, _run_task(graph, "rr", seed, size, ())):
+                assert np.array_equal(g, w)
+
+
 class TestHandshake:
     def test_mismatched_graph_is_refused(self, graph):
         other = WorkerHost(seed=99)  # different probabilities
         try:
             with pytest.raises(ProtocolError, match="fingerprint mismatch"):
-                DistributedRuntime(graph, [other.addr])
+                SharedGraphRuntime(graph, hosts=[other.addr])
         finally:
             other.join()
 
@@ -168,8 +224,7 @@ class TestHandshake:
         port = sock.getsockname()[1]
         sock.close()
         with pytest.raises(OSError):
-            DistributedRuntime(graph, [f"127.0.0.1:{port}"],
-                               connect_timeout=0.5)
+            SharedGraphRuntime(graph, hosts=[f"127.0.0.1:{port}"])
 
 
 class TestDeterministicMerge:
@@ -177,22 +232,17 @@ class TestDeterministicMerge:
     def test_rr_identity_across_host_counts(self, graph, two_hosts,
                                             host_count):
         addrs = [h.addr for h in two_hosts[:host_count]]
-        rt = DistributedRuntime(graph, addrs, fallback_workers=1)
-        parallel.bind_distributed_runtime(graph, rt)
+        parallel.get_runtime(graph, hosts=addrs)
         try:
             got = parallel.parallel_rr_csr(graph, 1024, 42)
         finally:
-            parallel.unbind_distributed_runtime(graph)
-            rt.shutdown()
+            parallel.shutdown_runtime_for(graph)
         want = local_reference(fresh_graph(), "rr", 1024, 42)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
     def test_prr_and_critical_identity(self, graph, two_hosts):
-        rt = DistributedRuntime(
-            graph, [h.addr for h in two_hosts], fallback_workers=1
-        )
-        parallel.bind_distributed_runtime(graph, rt)
+        parallel.get_runtime(graph, hosts=[h.addr for h in two_hosts])
         try:
             prr = parallel.parallel_prr_collection(
                 graph, {1, 2, 3}, 5, 600, 17
@@ -201,8 +251,7 @@ class TestDeterministicMerge:
                 graph, frozenset({1, 2, 3}), 600, 23
             )
         finally:
-            parallel.unbind_distributed_runtime(graph)
-            rt.shutdown()
+            parallel.shutdown_runtime_for(graph)
         ref = fresh_graph()
         for g, w in zip(prr, local_reference(ref, "prr", 600, 17,
                                              seeds={1, 2, 3}, k=5)):
@@ -212,34 +261,26 @@ class TestDeterministicMerge:
             assert np.array_equal(g, w)
 
     def test_chunks_spread_across_hosts(self, graph, two_hosts):
-        rt = DistributedRuntime(
-            graph, [h.addr for h in two_hosts], fallback_workers=1
-        )
-        parallel.bind_distributed_runtime(graph, rt)
+        rt = parallel.get_runtime(graph, hosts=[h.addr for h in two_hosts])
         try:
             parallel.parallel_rr_csr(graph, 4096, 7)
+            done = [s["chunks_done"] for s in rt.health().to_dict()["slots"]]
         finally:
-            parallel.unbind_distributed_runtime(graph)
-        done = [h["chunks_done"] for h in rt.health().to_dict()["hosts"]]
-        rt.shutdown()
+            parallel.shutdown_runtime_for(graph)
         assert sum(done) == 16
         assert all(d > 0 for d in done), f"one host sat idle: {done}"
 
 
 class TestSupervision:
     def test_mid_run_host_kill_keeps_identity(self, graph, two_hosts):
-        rt = DistributedRuntime(
-            graph, [h.addr for h in two_hosts], fallback_workers=1
-        )
-        parallel.bind_distributed_runtime(graph, rt)
+        rt = parallel.get_runtime(graph, hosts=[h.addr for h in two_hosts])
         try:
             killer = threading.Timer(0.02, two_hosts[1].kill)
             killer.start()
             got = parallel.parallel_rr_csr(graph, 8192, 123)
+            health = rt.health()
         finally:
-            parallel.unbind_distributed_runtime(graph)
-        health = rt.health()
-        rt.shutdown()
+            parallel.shutdown_runtime_for(graph)
         want = local_reference(fresh_graph(), "rr", 8192, 123)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -249,8 +290,7 @@ class TestSupervision:
 
     def test_all_hosts_lost_degrades_to_local(self, graph):
         host = WorkerHost()
-        rt = DistributedRuntime(graph, [host.addr], fallback_workers=1)
-        parallel.bind_distributed_runtime(graph, rt)
+        rt = parallel.get_runtime(graph, hosts=[host.addr])
         try:
             killer = threading.Timer(0.02, host.kill)
             killer.start()
@@ -260,8 +300,7 @@ class TestSupervision:
             # Later dispatches bypass the dead runtime entirely.
             later = parallel.parallel_rr_csr(graph, 1024, 5)
         finally:
-            parallel.unbind_distributed_runtime(graph)
-            rt.shutdown()
+            parallel.shutdown_runtime_for(graph)
             host.join()
         ref = fresh_graph()
         for g, w in zip(got, local_reference(ref, "rr", 8192, 321)):
@@ -270,21 +309,19 @@ class TestSupervision:
             assert np.array_equal(g, w)
 
     def test_health_reports_per_host_counters(self, graph, two_hosts):
-        rt = DistributedRuntime(
-            graph, [h.addr for h in two_hosts], fallback_workers=1
-        )
+        rt = SharedGraphRuntime(graph, hosts=[h.addr for h in two_hosts])
         try:
             health = rt.health().to_dict()
             assert health["workers"] == 2
-            assert [h["alive"] for h in health["hosts"]] == [True, True]
-            assert {h["addr"] for h in health["hosts"]} == {
+            assert [s["alive"] for s in health["slots"]] == [True, True]
+            assert {s["slot"] for s in health["slots"]} == {
                 h.addr for h in two_hosts
             }
         finally:
             rt.shutdown()
 
     def test_shutdown_is_idempotent(self, graph, two_hosts):
-        rt = DistributedRuntime(graph, [h.addr for h in two_hosts])
+        rt = SharedGraphRuntime(graph, hosts=[h.addr for h in two_hosts])
         rt.shutdown()
         rt.shutdown()
         with pytest.raises(RuntimeError):
@@ -308,7 +345,10 @@ class TestSessionHosts:
         with Session(graph, hosts=",".join(h.addr for h in two_hosts)) as s:
             dist_results = [s.run(q) for q in self.queries()]
             health = s.runtime_health()
-            assert health is not None and health.hosts is not None
+            assert health is not None
+            assert [slot["slot"] for slot in health.slots] == [
+                h.addr for h in two_hosts
+            ]
             assert s.effective_parallelism() == 2
         with Session(fresh_graph()) as s:
             local_results = [s.run(q) for q in self.queries(workers=2)]
@@ -320,10 +360,18 @@ class TestSessionHosts:
     def test_close_unbinds_and_shuts_down(self, two_hosts):
         graph = fresh_graph()
         session = Session(graph, hosts=[h.addr for h in two_hosts])
-        rt = session._dist
+        rt = session._hosts_runtime
         session.close()
-        assert parallel.distributed_runtime_for(graph) is None
+        assert not parallel.runtime_is_alive(graph)
         assert rt._closed
+
+    def test_bound_graph_cannot_also_serve(self, two_hosts):
+        """A graph bound to a hosts runtime would send its chunks back
+        over the wire if this process served it too."""
+        graph = fresh_graph()
+        with Session(graph, hosts=[two_hosts[0].addr]):
+            with pytest.raises(ValueError, match="bound to a hosts runtime"):
+                serve_worker(graph, port=0, max_sessions=0)
 
     def test_admission_prices_remote_capacity(self, two_hosts):
         graph = fresh_graph()

@@ -356,7 +356,7 @@ class TestShutdownHardening:
         from repro.core.parallel import SharedGraphRuntime
 
         runtime = SharedGraphRuntime(sized_graph, 2)
-        victim = runtime._procs[0]
+        victim = runtime.transport.procs[0]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(5)
         start = time.monotonic()
